@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -376,18 +377,43 @@ CacheKey payloadChecksum(const uint8_t *Data, size_t Len) {
   return H.key();
 }
 
-bool readFileBytes(const std::string &Path, std::vector<uint8_t> *Out) {
-  FILE *F = fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  Out->clear();
-  uint8_t Buf[1 << 16];
-  size_t Got;
-  while ((Got = fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out->insert(Out->end(), Buf, Buf + Got);
-  bool Ok = !ferror(F);
-  fclose(F);
-  return Ok;
+/// Closes a file descriptor on scope exit.
+struct FdCloser {
+  int Fd;
+  explicit FdCloser(int FdIn) : Fd(FdIn) {}
+  FdCloser(const FdCloser &) = delete;
+  FdCloser &operator=(const FdCloser &) = delete;
+  ~FdCloser() { ::close(Fd); }
+};
+
+enum class ReadStatus {
+  Ok,      ///< The whole file is in the buffer.
+  Missing, ///< No regular file to read, or an I/O error: a plain miss.
+  Short,   ///< The file ended before the size fstat reported: damage.
+};
+
+/// Reads the file at \p Path into \p Out, sized once from fstat, so an
+/// artifact costs one allocation and (normally) one read(2).
+ReadStatus readFileBytes(const std::string &Path, std::vector<uint8_t> *Out) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return ReadStatus::Missing;
+  FdCloser Closer(Fd);
+  struct stat St = {};
+  if (fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode))
+    return ReadStatus::Missing;
+  Out->resize(size_t(St.st_size));
+  size_t Got = 0;
+  while (Got < Out->size()) {
+    ssize_t N = ::read(Fd, Out->data() + Got, Out->size() - Got);
+    if (N > 0)
+      Got += size_t(N);
+    else if (N == 0)
+      return ReadStatus::Short;
+    else if (errno != EINTR)
+      return ReadStatus::Missing;
+  }
+  return ReadStatus::Ok;
 }
 
 } // namespace
@@ -413,8 +439,12 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
   if (Why)
     Why->clear();
   std::string P = path(K, Kind);
-  std::vector<uint8_t> File;
-  if (!readFileBytes(P, &File)) {
+  // The whole file lands in *Payload; the header is validated in place
+  // and then stripped.
+  std::vector<uint8_t> &File = *Payload;
+  ReadStatus Read = readFileBytes(P, &File);
+  if (Read == ReadStatus::Missing) {
+    File.clear();
     std::lock_guard<std::mutex> L(Mu);
     ++T.Misses;
     return false;
@@ -434,7 +464,9 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
     HeaderOk = R.u8(&Pad);
   HeaderOk = HeaderOk && R.u64(&Build) && R.u64(&Len) && R.u64(&CheckHi) &&
              R.u64(&CheckLo);
-  if (!HeaderOk)
+  if (Read == ReadStatus::Short)
+    Reason = "short read";
+  else if (!HeaderOk)
     Reason = "truncated header";
   else if (Magic != FileMagic || Version != FileVersion)
     Reason = "bad magic/version";
@@ -451,6 +483,7 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
       Reason = "payload checksum mismatch";
   }
   if (!Reason.empty()) {
+    File.clear();
     ::remove(P.c_str());
     if (Why)
       *Why = "disk artifact rejected (" + Reason + "): " + P;
@@ -458,7 +491,7 @@ bool DiskCache::load(const CacheKey &K, DiskArtifactKind Kind,
     ++T.Rejected;
     return false;
   }
-  Payload->assign(File.begin() + HeaderSize, File.end());
+  File.erase(File.begin(), File.begin() + HeaderSize);
   if (BuildNs)
     *BuildNs = Build;
   std::lock_guard<std::mutex> L(Mu);

@@ -237,9 +237,12 @@ const MCode *Engine::compileShared(LoadedModule &LM, const FuncDecl &F,
     if (Disk) {
       DiskLoad = [&, K](uint64_t *BuildNs) -> std::shared_ptr<const MCode> {
         std::vector<uint8_t> Payload;
-        if (!Disk->load(K, DiskArtifactKind::Code, &Payload, BuildNs,
-                        &DiskNote))
+        std::string Why;
+        if (!Disk->load(K, DiskArtifactKind::Code, &Payload, BuildNs, &Why)) {
+          if (!Why.empty()) // A plain miss keeps the last rejection.
+            DiskNote = std::move(Why);
           return nullptr;
+        }
         std::shared_ptr<MCode> Code = deserializeMCode(Payload);
         if (!Code) {
           Disk->removeRejected(K, DiskArtifactKind::Code);
@@ -490,9 +493,12 @@ bool Engine::predecodeAndInstall(LoadedModule &LM, FuncInstance *Func) {
       DiskLoad =
           [&, K](uint64_t *BuildNs) -> std::shared_ptr<const ThreadedCode> {
         std::vector<uint8_t> Payload;
-        if (!Disk->load(K, DiskArtifactKind::Ir, &Payload, BuildNs,
-                        &DiskNote))
+        std::string Why;
+        if (!Disk->load(K, DiskArtifactKind::Ir, &Payload, BuildNs, &Why)) {
+          if (!Why.empty()) // A plain miss keeps the last rejection.
+            DiskNote = std::move(Why);
           return nullptr;
+        }
         std::shared_ptr<ThreadedCode> TCd = deserializeThreadedCode(Payload);
         if (!TCd) {
           Disk->removeRejected(K, DiskArtifactKind::Ir);

@@ -932,6 +932,8 @@ int main(int argc, char **argv) {
       printf("  disk cache: %llu hits, %llu misses (%s)\n",
              (unsigned long long)S.DiskHits,
              (unsigned long long)S.DiskMisses, D->dir().c_str());
+    if (!E.diskNote().empty())
+      printf("  disk note: %s\n", E.diskNote().c_str());
     if (Opt.NoInstancePool)
       printf("  instance pool: disabled\n");
     else

@@ -138,8 +138,10 @@ std::string dumpReproducer(const FuzzOptions &Opt, const std::string &Stem,
     fprintf(stderr, "wisp-fuzz: cannot write %s\n", WasmPath.c_str());
 
   std::string Text = "divergence: " + Report.Detail + "\nargs:";
-  for (const Value &V : Args)
-    Text += " " + V.toString();
+  for (const Value &V : Args) {
+    Text += ' ';
+    Text += V.toString();
+  }
   Text += "\n\n" + M.listing();
   std::string TxtPath = Opt.OutDir + "/" + Stem + ".txt";
   if (!writeFile(TxtPath, Text.data(), Text.size()))
@@ -224,8 +226,10 @@ int replayOne(const std::string &Path, unsigned *Divergences) {
         continue;
       ++*Divergences;
       std::string ArgText;
-      for (const Value &V : Args)
-        ArgText += " " + V.toString();
+      for (const Value &V : Args) {
+        ArgText += ' ';
+        ArgText += V.toString();
+      }
       printf("wisp-fuzz: DIVERGENCE %s export=%s args=%s\n  %s\n",
              Path.c_str(), E.Name.c_str(), ArgText.c_str(),
              Report.Detail.c_str());

@@ -25,7 +25,6 @@
 #include "wasm/opcodes.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace wisp;
 
@@ -39,22 +38,36 @@ constexpr size_t MaxFindings = 32;
 
 /// Validator-view coordinates of one opcode boundary.
 struct OpSite {
+  uint32_t Ip = 0; ///< Bytecode offset of the opcode.
   Opcode Op = Opcode::Nop;
   uint32_t Height = 0; ///< Operand-stack height at entry (locals excluded).
   uint32_t Stp = 0;    ///< Side-table position at entry.
   uint32_t ImmA = 0;   ///< First scalar immediate (call/local/global index).
 };
 
-/// The scan result: every opcode boundary of the body, keyed by offset.
+/// The scan result. Sites lists every opcode boundary of the body in
+/// ascending offset order (the ordered queries walk or bisect it); Slot is
+/// a flat table over the body bytes, Slot[Ip - Base] = 1 + the index in
+/// Sites of the opcode starting at Ip, or 0 mid-opcode, so `at` is O(1).
 struct BodyScan {
   bool Ok = false;
   std::string Error;
-  std::map<uint32_t, OpSite> Sites;
+  std::vector<OpSite> Sites;
+  std::vector<uint32_t> Slot;
+  uint32_t Base = 0;      ///< Offset of Slot[0]: the function's BodyStart.
   uint32_t TermEndIp = 0; ///< Offset of the function-terminating `end`.
 
   const OpSite *at(uint32_t Ip) const {
-    auto It = Sites.find(Ip);
-    return It == Sites.end() ? nullptr : &It->second;
+    if (Ip < Base || Ip - Base >= Slot.size() || !Slot[Ip - Base])
+      return nullptr;
+    return &Sites[Slot[Ip - Base] - 1];
+  }
+  /// Index in Sites of the first boundary at or after \p Ip.
+  size_t lowerBound(uint32_t Ip) const {
+    auto It = std::partition_point(
+        Sites.begin(), Sites.end(),
+        [Ip](const OpSite &S) { return S.Ip < Ip; });
+    return size_t(It - Sites.begin());
   }
 };
 
@@ -248,7 +261,7 @@ bool BodyScanner::scanOp(Opcode Op, size_t OpPos) {
     uint32_t Idx = R.readU32();
     if (!R.ok() || Idx >= M.Funcs.size())
       return fail("bad call index at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = Idx;
+    Out.Sites.back().ImmA = Idx;
     const FuncType &FT = M.funcType(Idx);
     pop(uint32_t(FT.Params.size()));
     push(uint32_t(FT.Results.size()));
@@ -260,7 +273,7 @@ bool BodyScanner::scanOp(Opcode Op, size_t OpPos) {
     (void)R.readU32(); // Table index.
     if (!R.ok() || TypeIdx >= M.Types.size())
       return fail("bad call_indirect type at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = TypeIdx;
+    Out.Sites.back().ImmA = TypeIdx;
     const FuncType &FT = M.Types[TypeIdx];
     pop(1); // Table element index.
     pop(uint32_t(FT.Params.size()));
@@ -292,7 +305,7 @@ bool BodyScanner::scanOp(Opcode Op, size_t OpPos) {
     uint32_t Idx = R.readU32();
     if (!R.ok() || Idx >= F.LocalTypes.size())
       return fail("bad local index at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = Idx;
+    Out.Sites.back().ImmA = Idx;
     if (Op == Opcode::LocalGet)
       push(1);
     else if (Op == Opcode::LocalSet)
@@ -305,7 +318,7 @@ bool BodyScanner::scanOp(Opcode Op, size_t OpPos) {
     uint32_t Idx = R.readU32();
     if (!R.ok() || Idx >= M.Globals.size())
       return fail("bad global index at %zu", OpPos);
-    Out.Sites[uint32_t(OpPos)].ImmA = Idx;
+    Out.Sites.back().ImmA = Idx;
     if (Op == Opcode::GlobalGet)
       push(1);
     else
@@ -362,6 +375,10 @@ BodyScan BodyScanner::run() {
   ScanFrame Root;
   Root.NResults = uint32_t(M.Types[F.TypeIdx].Results.size());
   Frames.push_back(Root);
+  // Every opcode is at least one byte, so both tables are allocated once.
+  Out.Base = F.BodyStart;
+  Out.Slot.assign(F.BodyEnd - F.BodyStart, 0);
+  Out.Sites.reserve(F.BodyEnd - F.BodyStart);
 
   while (!Done) {
     if (R.atEnd()) {
@@ -374,10 +391,8 @@ BodyScan BodyScanner::run() {
       Out.Error = "malformed opcode";
       return std::move(Out);
     }
-    OpSite &S = Out.Sites[uint32_t(OpPos)];
-    S.Op = Op;
-    S.Height = Height;
-    S.Stp = CurStp;
+    Out.Sites.push_back({uint32_t(OpPos), Op, Height, CurStp, 0});
+    Out.Slot[OpPos - F.BodyStart] = uint32_t(Out.Sites.size());
     if (!scanOp(Op, OpPos))
       return std::move(Out);
   }
@@ -1100,11 +1115,8 @@ void ThreadedVerifier::checkBranchUnit(uint32_t Idx, const IrUnit &U) {
   // unit's recorded Stp is also the branch entry index.
   uint32_t BrOpIp = U.BcIp;
   if (const auto *Sp = spanAt(U.BcIp)) {
-    auto It = Scan.Sites.lower_bound(Sp->second);
-    if (It != Scan.Sites.begin()) {
-      --It;
-      BrOpIp = It->first;
-    }
+    if (size_t I = Scan.lowerBound(Sp->second))
+      BrOpIp = Scan.Sites[I - 1].Ip;
   }
   const SideTableEntry &E = F.Table.Entries[U.Stp];
   checkResolvedTarget(Idx, E, U.A, U.Aux, U.ValCount, U.B, BrOpIp);
@@ -1265,13 +1277,13 @@ void ThreadedVerifier::checkFusedSpans() {
                           "[%u, %u)",
                           E.TargetIp, Sp.first, Sp.second));
     if (IsProbed) {
-      auto It = Scan.Sites.upper_bound(Sp.first);
-      for (; It != Scan.Sites.end() && It->first < Sp.second; ++It)
-        if (IsProbed(It->first))
+      for (size_t I = Scan.lowerBound(Sp.first + 1);
+           I < Scan.Sites.size() && Scan.Sites[I].Ip < Sp.second; ++I)
+        if (IsProbed(Scan.Sites[I].Ip))
           finding("threaded-fusion", Idx,
                   strFormat("probed offset %u lies inside fused span "
                             "[%u, %u)",
-                            It->first, Sp.first, Sp.second));
+                            Scan.Sites[I].Ip, Sp.first, Sp.second));
     }
   }
 }
@@ -1279,13 +1291,13 @@ void ThreadedVerifier::checkFusedSpans() {
 void ThreadedVerifier::checkProbeUnits() {
   if (!IsProbed)
     return;
-  for (const auto &KV : Scan.Sites) {
-    if (!IsProbed(KV.first))
+  for (const OpSite &S : Scan.Sites) {
+    if (!IsProbed(S.Ip))
       continue;
-    uint32_t Idx = TC.unitIndexAt(KV.first);
-    if (Idx == ThreadedCode::NoUnit || TC.Units[Idx].BcIp != KV.first)
+    uint32_t Idx = TC.unitIndexAt(S.Ip);
+    if (Idx == ThreadedCode::NoUnit || TC.Units[Idx].BcIp != S.Ip)
       finding("threaded-probe", Idx == ThreadedCode::NoUnit ? 0 : Idx,
-              strFormat("probed offset %u has no exact unit", KV.first));
+              strFormat("probed offset %u has no exact unit", S.Ip));
   }
 }
 

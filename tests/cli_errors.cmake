@@ -80,6 +80,19 @@ file(GLOB DISK_FILES ${DISK_DIR}/*.wac)
 if(NOT DISK_FILES)
   message(FATAL_ERROR "--cache-dir run published no artifacts in ${DISK_DIR}")
 endif()
+# A damaged artifact is rejected and rebuilt, never a load failure, and
+# --stats names the rejection in its disk note.
+list(GET DISK_FILES 0 DAMAGED)
+file(WRITE ${DAMAGED} "not an artifact")
+execute_process(
+  COMMAND ${WISP_BIN} --tier=spc --cache-dir=${DISK_DIR} --stats nop
+  OUTPUT_VARIABLE OUT RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0 OR NOT OUT MATCHES "run\\(\\) = ")
+  message(FATAL_ERROR "run over a damaged artifact failed (rc=${RC}): ${OUT}")
+endif()
+if(NOT OUT MATCHES "\n  disk note: disk artifact rejected \\(truncated header\\): [^\n]*\\.wac\n")
+  message(FATAL_ERROR "--stats printed no disk note for the damaged artifact:\n${OUT}")
+endif()
 # --no-disk-cache wins over --cache-dir: nothing new may be written.
 file(REMOVE_RECURSE ${DISK_DIR})
 execute_process(

@@ -304,18 +304,20 @@ TEST(DiskCorruption, TruncatedToZeroRebuildsCleanly) {
   });
 }
 
+/// Flips one bit past the 72-byte header: the checksum must catch it.
+void flipPayloadBit(const std::string &Path) {
+  FILE *F = fopen(Path.c_str(), "r+b");
+  ASSERT_NE(F, nullptr) << Path;
+  ASSERT_EQ(fseek(F, 80, SEEK_SET), 0);
+  int C = fgetc(F);
+  ASSERT_NE(C, EOF);
+  ASSERT_EQ(fseek(F, 80, SEEK_SET), 0);
+  fputc(C ^ 0x40, F);
+  fclose(F);
+}
+
 TEST(DiskCorruption, BitFlippedPayloadRebuildsCleanly) {
-  corruptionRoundTrip([](const std::string &Path) {
-    // Flip one bit past the 72-byte header: the checksum must catch it.
-    FILE *F = fopen(Path.c_str(), "r+b");
-    ASSERT_NE(F, nullptr);
-    ASSERT_EQ(fseek(F, 80, SEEK_SET), 0);
-    int C = fgetc(F);
-    ASSERT_NE(C, EOF);
-    ASSERT_EQ(fseek(F, 80, SEEK_SET), 0);
-    fputc(C ^ 0x40, F);
-    fclose(F);
-  });
+  corruptionRoundTrip(flipPayloadBit);
 }
 
 TEST(DiskCorruption, StaleFormatDigestRebuildsCleanly) {
@@ -384,6 +386,59 @@ TEST(DiskCorruption, SemanticDamageCaughtByReVerify) {
   // Rebuilt and re-published: the next load hits a good artifact again.
   LoadStats Healed = runOnce("wizard-spc", Tmp.Path);
   EXPECT_GE(Healed.DiskHits, 1u);
+}
+
+TEST(DiskCorruption, RejectionNoteSurvivesLaterLookups) {
+  // 66 distinct bodies, so 66 artifact files. The first function's file
+  // is damaged, so the 65 lookups after its rejection (all disk hits)
+  // must not erase the engine's note of it.
+  constexpr uint32_t NumFuncs = 66;
+  ModuleBuilder MB;
+  uint32_t Ty = MB.addType({ValType::I32}, {ValType::I32});
+  for (uint32_t I = 0; I < NumFuncs; ++I) {
+    FuncBuilder &F = MB.addFunc(Ty);
+    F.localGet(0);
+    F.i32Const(int32_t(I));
+    F.op(Opcode::I32Add);
+    std::string Name = "f";
+    Name += std::to_string(I);
+    MB.exportFunc(Name, MB.funcIndex(F));
+  }
+  std::vector<uint8_t> Bytes = MB.build();
+  TempDir Tmp;
+  ASSERT_FALSE(Tmp.Path.empty());
+  std::string Note;
+  uint64_t Rejected = 0;
+  auto loadAll = [&] {
+    CompileCache Cache;
+    Engine E(diskConfig("wizard-spc", Tmp.Path), &Cache);
+    auto LM = loadOn(E, Bytes);
+    Note = E.diskNote();
+    Rejected = E.disk() ? E.disk()->totals().Rejected : 0;
+    return LM ? LM->Stats : LoadStats();
+  };
+  LoadStats Fill = loadAll();
+  EXPECT_EQ(Fill.DiskMisses, NumFuncs);
+  ASSERT_EQ(artifactFiles(Tmp.Path, DiskArtifactKind::Code).size(),
+            size_t(NumFuncs));
+
+  std::unique_ptr<Module> M = buildAndValidate(Bytes);
+  ASSERT_TRUE(M);
+  EngineConfig Cfg = diskConfig("wizard-spc", Tmp.Path);
+  CacheKey K = codeCacheKey(moduleContextDigest(*M), *M, M->Funcs[0],
+                            Cfg.Compiler, Cfg.Opts, Cfg.VerifyArtifacts);
+  std::unique_ptr<DiskCache> DC = DiskCache::open(Tmp.Path);
+  ASSERT_TRUE(DC);
+  std::string Victim = DC->path(K, DiskArtifactKind::Code);
+  ASSERT_NO_FATAL_FAILURE(flipPayloadBit(Victim))
+      << "test must recompute the engine's key";
+
+  LoadStats Hurt = loadAll();
+  EXPECT_EQ(Hurt.DiskHits, NumFuncs - 1);
+  EXPECT_EQ(Hurt.DiskMisses, 1u);
+  EXPECT_EQ(Rejected, 1u);
+  EXPECT_NE(Note.find("checksum"), std::string::npos) << Note;
+  EXPECT_NE(Note.find(Victim), std::string::npos) << Note;
 }
 
 TEST(DiskCorruption, ConcurrentWritersRaceHarmlessly) {

@@ -289,11 +289,14 @@ TEST(Verify, CorruptedOsrEntryFires) {
   ASSERT_TRUE(Code);
   ASSERT_FALSE(Code->OsrEntries.empty()) << "loop body has an OSR entry";
   ASSERT_TRUE(verifyMachineCode(*M, F, *Code, VerifyScope::baseline()).ok());
-  // Point the OSR entry's bytecode ip between opcode boundaries: a tier-up
-  // transfer would resume mid-opcode.
-  Code->OsrEntries[0].Ip += 1;
-  VerifyReport R = verifyMachineCode(*M, F, *Code, VerifyScope::baseline());
-  EXPECT_TRUE(hasCheck(R, "osr-entry")) << R.text();
+  // Point the OSR entry's bytecode ip between opcode boundaries (a tier-up
+  // transfer would resume mid-opcode), or just past the body.
+  for (uint32_t Ip : {Code->OsrEntries[0].Ip + 1, F.BodyEnd}) {
+    MCode Bad = *Code;
+    Bad.OsrEntries[0].Ip = Ip;
+    VerifyReport R = verifyMachineCode(*M, F, Bad, VerifyScope::baseline());
+    EXPECT_TRUE(hasCheck(R, "osr-entry")) << "ip " << Ip << "\n" << R.text();
+  }
 }
 
 TEST(Verify, CorruptedDeoptStackPositionFires) {
@@ -604,11 +607,15 @@ TEST(Verify, PatchPointNonBoundaryOperandFires) {
   ASSERT_TRUE(M);
   auto Code = compileCounterBody(*M);
   ASSERT_TRUE(Code);
-  Code->Patches.front().Operand = ~uint64_t(0);
-  VerifyReport R =
-      verifyMachineCode(*M, mainFunc(*M), *Code, VerifyScope::baseline());
-  EXPECT_FALSE(R.ok());
-  EXPECT_TRUE(hasCheck(R, "patch-point")) << R.text();
+  for (uint64_t Operand : {~uint64_t(0), uint64_t(mainFunc(*M).BodyEnd)}) {
+    MCode Bad = *Code;
+    Bad.Patches.front().Operand = Operand;
+    VerifyReport R =
+        verifyMachineCode(*M, mainFunc(*M), Bad, VerifyScope::baseline());
+    EXPECT_FALSE(R.ok());
+    EXPECT_TRUE(hasCheck(R, "patch-point"))
+        << "operand " << Operand << "\n" << R.text();
+  }
 }
 
 TEST(Verify, BackwardLineTablePcFires) {
@@ -628,4 +635,57 @@ TEST(Verify, BackwardLineTablePcFires) {
   const VerifyFinding *Find = findCheck(R, "line-table");
   ASSERT_NE(Find, nullptr) << R.text();
   EXPECT_NE(Find->Detail.find("ascending"), std::string::npos) << R.text();
+}
+
+// --- Offsets outside the body -------------------------------------------
+//
+// The body scan indexes its per-offset table by Ip - BodyStart. Offsets
+// just outside the body on both sides and at the 32-bit limit must be
+// rejected by the owning check, never read outside the table (the OSR
+// and patch-point cases ride along in their tests above).
+
+TEST(Verify, LineTableIpOutsideBodyFires) {
+  std::unique_ptr<Module> M = buildRichModule();
+  ASSERT_TRUE(M);
+  const FuncDecl &F = mainFunc(*M);
+  auto Code = compileFunction(*M, F, CompilerOptions::allopt());
+  ASSERT_TRUE(Code);
+  ASSERT_FALSE(Code->LineTable.empty());
+  ASSERT_GT(F.BodyStart, 0u);
+  for (uint32_t Ip : {F.BodyStart - 1, F.BodyEnd, UINT32_MAX}) {
+    MCode Bad = *Code;
+    Bad.LineTable.back().Ip = Ip;
+    VerifyReport R = verifyMachineCode(*M, F, Bad, VerifyScope::baseline());
+    const VerifyFinding *Find = findCheck(R, "line-table");
+    ASSERT_NE(Find, nullptr) << "ip " << Ip << "\n" << R.text();
+    EXPECT_EQ(Find->Pc, Bad.LineTable.back().Pc);
+    EXPECT_NE(Find->Detail.find("non-boundary"), std::string::npos)
+        << Find->Detail;
+  }
+}
+
+TEST(Verify, ThreadedUnitIpOutsideBodyFires) {
+  std::unique_ptr<Module> M = buildRichModule();
+  ASSERT_TRUE(M);
+  const FuncDecl &F = mainFunc(*M);
+  auto TC = predecodeFunction(*M, F, nullptr, /*EnableFusion=*/true);
+  ASSERT_TRUE(TC);
+  ASSERT_GE(TC->Units.size(), 2u);
+  ASSERT_TRUE(verifyThreadedCode(*M, F, *TC).ok());
+  // Before the body (first unit) and past it (last unit), so the units
+  // stay ascending and the boundary check is what must fire.
+  const uint32_t Last = uint32_t(TC->Units.size() - 1);
+  const std::pair<uint32_t, uint32_t> Cases[] = {{0, F.BodyStart - 1},
+                                                 {Last, F.BodyEnd},
+                                                 {Last, UINT32_MAX}};
+  for (const auto &[Idx, Ip] : Cases) {
+    ThreadedCode Bad = *TC;
+    Bad.Units[Idx].BcIp = Ip;
+    VerifyReport R = verifyThreadedCode(*M, F, Bad);
+    bool Fired = false;
+    for (const VerifyFinding &Find : R.Findings)
+      Fired |= Find.Check == "threaded-units" && Find.Pc == Idx &&
+               Find.Detail.find("not an opcode boundary") != std::string::npos;
+    EXPECT_TRUE(Fired) << "unit " << Idx << " ip " << Ip << "\n" << R.text();
+  }
 }
