@@ -40,9 +40,9 @@
 ///    - all embedded local/global/function/type/table indices resolve.
 ///
 /// The pass re-derives the validator's per-opcode operand-stack heights and
-/// side-table positions by a heights-only abstract interpretation of the
-/// body (BodyScan below, internal to the implementation), so it needs no
-/// cooperation from the compilers being checked.
+/// side-table positions by running the validator's walk (wasm/bodywalk.h)
+/// over the body again (BodyScan, internal to the implementation), so it
+/// needs no cooperation from the compilers being checked.
 ///
 //===----------------------------------------------------------------------===//
 

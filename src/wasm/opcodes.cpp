@@ -58,7 +58,7 @@ struct OpTables {
     I.CanTrap = Traps;
   }
 
-  void load(Opcode Op, const char *Name, ValType Out) {
+  void load(Opcode Op, const char *Name, ValType Out, uint8_t Bytes) {
     OpInfo &I = slot(Op);
     I.Name = Name;
     I.Imm = ImmKind::MemArg;
@@ -68,9 +68,10 @@ struct OpTables {
     I.NPush = 1;
     I.Push = Out;
     I.CanTrap = true;
+    I.MemBytes = Bytes;
   }
 
-  void store(Opcode Op, const char *Name, ValType In) {
+  void store(Opcode Op, const char *Name, ValType In, uint8_t Bytes) {
     OpInfo &I = slot(Op);
     I.Name = Name;
     I.Imm = ImmKind::MemArg;
@@ -80,6 +81,7 @@ struct OpTables {
     I.Pop[1] = In;
     I.NPush = 0;
     I.CanTrap = true;
+    I.MemBytes = Bytes;
   }
 };
 
@@ -135,31 +137,31 @@ static OpTables buildTables() {
   T.slot(O::RefIsNull).Class = OpClass::Special; // Accepts any ref type.
 
   // Loads.
-  T.load(O::I32Load, "i32.load", V::I32);
-  T.load(O::I64Load, "i64.load", V::I64);
-  T.load(O::F32Load, "f32.load", V::F32);
-  T.load(O::F64Load, "f64.load", V::F64);
-  T.load(O::I32Load8S, "i32.load8_s", V::I32);
-  T.load(O::I32Load8U, "i32.load8_u", V::I32);
-  T.load(O::I32Load16S, "i32.load16_s", V::I32);
-  T.load(O::I32Load16U, "i32.load16_u", V::I32);
-  T.load(O::I64Load8S, "i64.load8_s", V::I64);
-  T.load(O::I64Load8U, "i64.load8_u", V::I64);
-  T.load(O::I64Load16S, "i64.load16_s", V::I64);
-  T.load(O::I64Load16U, "i64.load16_u", V::I64);
-  T.load(O::I64Load32S, "i64.load32_s", V::I64);
-  T.load(O::I64Load32U, "i64.load32_u", V::I64);
+  T.load(O::I32Load, "i32.load", V::I32, 4);
+  T.load(O::I64Load, "i64.load", V::I64, 8);
+  T.load(O::F32Load, "f32.load", V::F32, 4);
+  T.load(O::F64Load, "f64.load", V::F64, 8);
+  T.load(O::I32Load8S, "i32.load8_s", V::I32, 1);
+  T.load(O::I32Load8U, "i32.load8_u", V::I32, 1);
+  T.load(O::I32Load16S, "i32.load16_s", V::I32, 2);
+  T.load(O::I32Load16U, "i32.load16_u", V::I32, 2);
+  T.load(O::I64Load8S, "i64.load8_s", V::I64, 1);
+  T.load(O::I64Load8U, "i64.load8_u", V::I64, 1);
+  T.load(O::I64Load16S, "i64.load16_s", V::I64, 2);
+  T.load(O::I64Load16U, "i64.load16_u", V::I64, 2);
+  T.load(O::I64Load32S, "i64.load32_s", V::I64, 4);
+  T.load(O::I64Load32U, "i64.load32_u", V::I64, 4);
 
   // Stores.
-  T.store(O::I32Store, "i32.store", V::I32);
-  T.store(O::I64Store, "i64.store", V::I64);
-  T.store(O::F32Store, "f32.store", V::F32);
-  T.store(O::F64Store, "f64.store", V::F64);
-  T.store(O::I32Store8, "i32.store8", V::I32);
-  T.store(O::I32Store16, "i32.store16", V::I32);
-  T.store(O::I64Store8, "i64.store8", V::I64);
-  T.store(O::I64Store16, "i64.store16", V::I64);
-  T.store(O::I64Store32, "i64.store32", V::I64);
+  T.store(O::I32Store, "i32.store", V::I32, 4);
+  T.store(O::I64Store, "i64.store", V::I64, 8);
+  T.store(O::F32Store, "f32.store", V::F32, 4);
+  T.store(O::F64Store, "f64.store", V::F64, 8);
+  T.store(O::I32Store8, "i32.store8", V::I32, 1);
+  T.store(O::I32Store16, "i32.store16", V::I32, 2);
+  T.store(O::I64Store8, "i64.store8", V::I64, 1);
+  T.store(O::I64Store16, "i64.store16", V::I64, 2);
+  T.store(O::I64Store32, "i64.store32", V::I64, 4);
 
   // i32 comparisons.
   T.unop(O::I32Eqz, "i32.eqz", V::I32, V::I32);

@@ -255,6 +255,7 @@ struct OpInfo {
   uint8_t NPush = 0;
   ValType Push = ValType::I32;
   bool CanTrap = false; ///< May trap (division, memory access, truncation).
+  uint8_t MemBytes = 0; ///< Bytes a load or store accesses; 0 otherwise.
 };
 
 /// Returns metadata for \p Op; the Name field is null if the opcode is not

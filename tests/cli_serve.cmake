@@ -96,6 +96,29 @@ if(NOT OUT_OFF MATCHES "# serve: drained, 4 accepted, 0 rejected")
   message(FATAL_ERROR "--no-static-precheck: summary mismatch: ${OUT_OFF}")
 endif()
 
+# --- A br_table whose target count (2^32-1) exceeds its body is a load
+# --- error for that job alone: the precheck and the worker both reject it
+# --- without allocating for the count, the next job is still answered, and
+# --- the session exits 0.
+set(HUGE_BR_TABLE ${HERE}/data/br-table-huge-count.wasm)
+if(NOT EXISTS ${HUGE_BR_TABLE})
+  message(FATAL_ERROR "missing fixture ${HUGE_BR_TABLE}")
+endif()
+set(SERVE_IN3 ${WISP_WORKDIR}/cli_serve_in3.txt)
+file(WRITE ${SERVE_IN3}
+  "${HUGE_BR_TABLE} tier=spc id=huge\n"
+  "nop tier=spc id=next\n"
+  "shutdown\n")
+run_serve(OUT_HUGE ${SERVE_IN3})
+if(NOT OUT_HUGE MATCHES
+   "done huge error: load failed: [^\n]*malformed br_table targets")
+  message(FATAL_ERROR "huge br_table count not rejected as a load error: "
+                      "${OUT_HUGE}")
+endif()
+if(NOT OUT_HUGE MATCHES "done next = <void>")
+  message(FATAL_ERROR "job after the huge br_table not answered: ${OUT_HUGE}")
+endif()
+
 # --- Batch mode shares the precheck: the doomed job is answered with a
 # --- static-bounds error at admission (batch runs with engine defaults),
 # --- and --no-static-precheck runs it to the StackOverflow trap instead.
@@ -125,5 +148,5 @@ if(BOUT2 MATCHES "static-bounds")
     "batch --no-static-precheck: job still prechecked: ${BOUT2}")
 endif()
 
-file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${MANIFEST})
+file(REMOVE ${SERVE_IN} ${SERVE_IN2} ${SERVE_IN3} ${MANIFEST})
 message(STATUS "cli_serve: static admission precheck verified end to end")

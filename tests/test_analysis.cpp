@@ -257,6 +257,74 @@ TEST(Analysis, ConstDivByZeroLintAtExactOffset) {
   }
 }
 
+TEST(Analysis, BrIfKeepsLabelOperandConstants) {
+  // br_if's label values stay on the stack when the branch is not taken,
+  // with their constants: the division below always divides by 0.
+  ModuleBuilder MB;
+  uint32_t T = MB.addType({ValType::I32}, {ValType::I32});
+  FuncBuilder &F = MB.addFunc(T);
+  F.block(BlockType::oneResult(ValType::I32)); // 2 bytes
+  F.i32Const(7);                               // 2 bytes
+  F.i32Const(0);                               // 2 bytes
+  F.localGet(0);                               // 2 bytes
+  F.brIf(0);                                   // 2 bytes
+  F.op(Opcode::I32DivU);                       // offset 10
+  F.end();
+  MB.exportFunc("run", MB.funcIndex(F));
+  std::unique_ptr<Module> M = buildAndValidate(MB);
+  ASSERT_TRUE(M);
+  ModuleAnalysis A = analyze(*M);
+  ASSERT_EQ(A.Lints.size(), 1u);
+  EXPECT_EQ(A.Lints[0].K, LintFinding::GuaranteedTrap);
+  EXPECT_EQ(A.Lints[0].Ip, M->Funcs[0].BodyStart + 10);
+}
+
+TEST(Analysis, LocalTeeKeepsItsOperandConstant) {
+  ModuleBuilder MB;
+  uint32_t T = MB.addType({ValType::I32}, {ValType::I32});
+  FuncBuilder &F = MB.addFunc(T);
+  F.i32Const(7);         // 2 bytes
+  F.i32Const(0);         // 2 bytes
+  F.localTee(0);         // 2 bytes
+  F.op(Opcode::I32RemU); // offset 6
+  MB.exportFunc("run", MB.funcIndex(F));
+  std::unique_ptr<Module> M = buildAndValidate(MB);
+  ASSERT_TRUE(M);
+  ModuleAnalysis A = analyze(*M);
+  ASSERT_EQ(A.Lints.size(), 1u);
+  EXPECT_EQ(A.Lints[0].Ip, M->Funcs[0].BodyStart + 6);
+}
+
+TEST(Analysis, ElseArmParamsAreNotThenArmConstants) {
+  // The else arm starts from the if's params, not from whatever constant
+  // the then arm left in their slots: f(0) loads from address 0 and does
+  // not trap, so no guaranteed-trap lint may fire.
+  ModuleBuilder MB;
+  MB.addMemory(1, 1);
+  uint32_t T = MB.addType({ValType::I32}, {ValType::I32});
+  FuncBuilder &F = MB.addFunc(T);
+  F.localGet(0);
+  F.localGet(0);
+  F.ifOp(BlockType::funcType(T));
+  F.drop();
+  F.i32Const(65536);
+  F.elseOp();
+  F.load(Opcode::I32Load, 0, 2);
+  F.end();
+  MB.exportFunc("run", MB.funcIndex(F));
+  std::vector<uint8_t> Bytes = MB.build();
+  std::unique_ptr<Module> M = buildAndValidate(Bytes);
+  ASSERT_TRUE(M);
+  ModuleAnalysis A = analyze(*M);
+  EXPECT_TRUE(A.clean()) << (A.Lints.empty() ? "" : A.Lints[0].Detail);
+  for (const char *Tier : {"int", "spc"}) {
+    uint32_t HighWater = 0, Pages = 0;
+    EXPECT_EQ(runOnTier(Bytes, Tier, "run", &HighWater, &Pages),
+              TrapReason::None)
+        << Tier;
+  }
+}
+
 TEST(Analysis, ConstOobLoadLintAtExactOffset) {
   // max = 1 page, constant address one past the last mappable byte.
   ModuleBuilder MB;

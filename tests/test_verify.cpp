@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace wisp;
 
 namespace {
@@ -405,6 +407,116 @@ TEST(Verify, FusionAcrossProbedPcFires) {
   EXPECT_TRUE(verifyThreadedCode(*M, D, *TC2,
                                  [&](uint32_t Ip) { return Ip == ProbedIp; })
                   .ok());
+}
+
+// --- Positive: dead code inside result-typed blocks ---------------------
+
+namespace {
+
+/// Generic probe at every site: each live opcode publishes Sp, which the
+/// verifier checks against its own operand height.
+class GenericEverywhereOracle : public ProbeSiteOracle {
+public:
+  ProbeSiteKind classify(uint32_t, uint32_t) const override {
+    return ProbeSiteKind::Generic;
+  }
+  uint64_t *counterAddr(uint32_t, uint32_t) const override { return nullptr; }
+};
+
+} // namespace
+
+TEST(Verify, DeadBrIfAndLocalTeeRunsAreClean) {
+  // Dead br_if / local.tee runs change the operand height only in
+  // unreachable code; the live calls and probed sites after them must
+  // still agree with every pipeline.
+  ModuleBuilder MB;
+  uint32_t TInc = MB.addType({ValType::I32}, {ValType::I32});
+  FuncBuilder &Inc = MB.addFunc(TInc);
+  Inc.localGet(0);
+  Inc.i32Const(1);
+  Inc.op(Opcode::I32Add);
+  FuncBuilder &Main = MB.addFunc(TInc);
+  uint32_t Tmp = Main.addLocal(ValType::I32);
+  Main.block(BlockType::oneResult(ValType::I32));
+  Main.localGet(0);
+  Main.call(MB.funcIndex(Inc));
+  Main.br(0);
+  for (int I = 0; I < 3; ++I) {
+    Main.brIf(0);
+    Main.localTee(Tmp);
+    Main.brIf(0);
+  }
+  Main.end();
+  Main.call(MB.funcIndex(Inc));
+  Main.block(BlockType::oneResult(ValType::I32));
+  Main.i32Const(3);
+  Main.ret();
+  Main.localTee(Tmp);
+  Main.brIf(0);
+  Main.brIf(0);
+  Main.end();
+  Main.op(Opcode::I32Add);
+  Main.localGet(Tmp);
+  Main.call(MB.funcIndex(Inc));
+  Main.op(Opcode::I32Add);
+  MB.exportFunc("f", MB.funcIndex(Main));
+  std::unique_ptr<Module> M = buildAndValidate(MB);
+  ASSERT_TRUE(M);
+  const FuncDecl &F = M->Funcs[1];
+  CompilerOptions Opts = CompilerOptions::allopt();
+  GenericEverywhereOracle Probes;
+  VerifyScope Base = VerifyScope::baseline();
+  for (const ProbeSiteOracle *P : {(const ProbeSiteOracle *)nullptr,
+                                   (const ProbeSiteOracle *)&Probes}) {
+    auto Spc = compileFunction(*M, F, Opts, P);
+    ASSERT_TRUE(Spc);
+    EXPECT_TRUE(verifyMachineCode(*M, F, *Spc, Base).ok())
+        << verifyMachineCode(*M, F, *Spc, Base).text();
+    auto Two = compileTwoPass(*M, F, Opts, P);
+    ASSERT_TRUE(Two);
+    EXPECT_TRUE(verifyMachineCode(*M, F, *Two, Base).ok())
+        << verifyMachineCode(*M, F, *Two, Base).text();
+  }
+  auto Cp = compileCopyPatch(*M, F, Opts);
+  ASSERT_TRUE(Cp);
+  EXPECT_TRUE(verifyMachineCode(*M, F, *Cp, Base).ok())
+      << verifyMachineCode(*M, F, *Cp, Base).text();
+  auto Opt = compileOptimizing(*M, F, Opts);
+  ASSERT_TRUE(Opt);
+  VerifyScope OptScope = VerifyScope::optimizing();
+  EXPECT_TRUE(verifyMachineCode(*M, F, *Opt, OptScope).ok())
+      << verifyMachineCode(*M, F, *Opt, OptScope).text();
+  // Threaded IR, plain and with a probe on every live opcode boundary
+  // after the first dead run.
+  auto TC = predecodeFunction(*M, F, nullptr, /*EnableFusion=*/true);
+  ASSERT_TRUE(TC);
+  EXPECT_TRUE(verifyThreadedCode(*M, F, *TC).ok())
+      << verifyThreadedCode(*M, F, *TC).text();
+  FuncInstance FI;
+  FI.Decl = &F;
+  std::vector<uint32_t> Probed;
+  for (const IrUnit &U : TC->Units)
+    if (U.BcIp > F.BodyStart + 8) {
+      FI.setProbeBit(U.BcIp);
+      Probed.push_back(U.BcIp);
+    }
+  ASSERT_FALSE(Probed.empty());
+  auto IsProbed = [&](uint32_t Ip) {
+    return std::find(Probed.begin(), Probed.end(), Ip) != Probed.end();
+  };
+  auto TCP = predecodeFunction(*M, F, &FI, /*EnableFusion=*/true);
+  ASSERT_TRUE(TCP);
+  EXPECT_TRUE(verifyThreadedCode(*M, F, *TCP, IsProbed).ok())
+      << verifyThreadedCode(*M, F, *TCP, IsProbed).text();
+  // And the module runs: the second block returns 3 from the function.
+  Engine E(EngineConfig{});
+  WasmError Err;
+  std::unique_ptr<LoadedModule> LM = E.load(MB.build(), &Err);
+  ASSERT_TRUE(LM) << Err.Message;
+  std::vector<Value> Out;
+  EXPECT_EQ(E.invoke(*LM, "f", {Value::makeI32(4)}, &Out), TrapReason::None);
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0], Value::makeI32(3));
 }
 
 // --- Positive sweep: every fig. 7 suite module on every pipeline --------
