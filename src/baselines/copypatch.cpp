@@ -16,6 +16,7 @@
 #include "baselines/copypatch.h"
 
 #include "machine/assembler.h"
+#include "machine/lowering.h"
 #include "runtime/trap.h"
 #include "wasm/codereader.h"
 
@@ -42,95 +43,6 @@ struct Snippet {
   bool Valid = false;
 };
 
-/// Maps a fixed-signature wasm opcode to its machine opcode (and condition
-/// code for compares).
-static bool mapSimpleOp(Opcode Op, MOp *M, uint8_t *D) {
-  *D = 0;
-  switch (Op) {
-#define CMP(OPC, MOPC, COND)                                                   \
-  case Opcode::OPC:                                                            \
-    *M = MOp::MOPC;                                                            \
-    *D = uint8_t(COND);                                                        \
-    return true;
-#define ONE(OPC, MOPC)                                                         \
-  case Opcode::OPC:                                                            \
-    *M = MOp::MOPC;                                                            \
-    return true;
-    ONE(I32Add, Add32) ONE(I32Sub, Sub32) ONE(I32Mul, Mul32)
-    ONE(I32DivS, DivS32) ONE(I32DivU, DivU32) ONE(I32RemS, RemS32)
-    ONE(I32RemU, RemU32) ONE(I32And, And32) ONE(I32Or, Or32)
-    ONE(I32Xor, Xor32) ONE(I32Shl, Shl32) ONE(I32ShrS, ShrS32)
-    ONE(I32ShrU, ShrU32) ONE(I32Rotl, Rotl32) ONE(I32Rotr, Rotr32)
-    ONE(I32Clz, Clz32) ONE(I32Ctz, Ctz32) ONE(I32Popcnt, Popcnt32)
-    ONE(I32Eqz, Eqz32) ONE(I32Extend8S, Ext8S32) ONE(I32Extend16S, Ext16S32)
-    ONE(I64Add, Add64) ONE(I64Sub, Sub64) ONE(I64Mul, Mul64)
-    ONE(I64DivS, DivS64) ONE(I64DivU, DivU64) ONE(I64RemS, RemS64)
-    ONE(I64RemU, RemU64) ONE(I64And, And64) ONE(I64Or, Or64)
-    ONE(I64Xor, Xor64) ONE(I64Shl, Shl64) ONE(I64ShrS, ShrS64)
-    ONE(I64ShrU, ShrU64) ONE(I64Rotl, Rotl64) ONE(I64Rotr, Rotr64)
-    ONE(I64Clz, Clz64) ONE(I64Ctz, Ctz64) ONE(I64Popcnt, Popcnt64)
-    ONE(I64Eqz, Eqz64) ONE(I64Extend8S, Ext8S64) ONE(I64Extend16S, Ext16S64)
-    ONE(I64Extend32S, Ext32S64)
-    CMP(I32Eq, CmpSet32, Cond::Eq) CMP(I32Ne, CmpSet32, Cond::Ne)
-    CMP(I32LtS, CmpSet32, Cond::LtS) CMP(I32LtU, CmpSet32, Cond::LtU)
-    CMP(I32GtS, CmpSet32, Cond::GtS) CMP(I32GtU, CmpSet32, Cond::GtU)
-    CMP(I32LeS, CmpSet32, Cond::LeS) CMP(I32LeU, CmpSet32, Cond::LeU)
-    CMP(I32GeS, CmpSet32, Cond::GeS) CMP(I32GeU, CmpSet32, Cond::GeU)
-    CMP(I64Eq, CmpSet64, Cond::Eq) CMP(I64Ne, CmpSet64, Cond::Ne)
-    CMP(I64LtS, CmpSet64, Cond::LtS) CMP(I64LtU, CmpSet64, Cond::LtU)
-    CMP(I64GtS, CmpSet64, Cond::GtS) CMP(I64GtU, CmpSet64, Cond::GtU)
-    CMP(I64LeS, CmpSet64, Cond::LeS) CMP(I64LeU, CmpSet64, Cond::LeU)
-    CMP(I64GeS, CmpSet64, Cond::GeS) CMP(I64GeU, CmpSet64, Cond::GeU)
-    CMP(F32Eq, CmpSetF32, FCond::Eq) CMP(F32Ne, CmpSetF32, FCond::Ne)
-    CMP(F32Lt, CmpSetF32, FCond::Lt) CMP(F32Gt, CmpSetF32, FCond::Gt)
-    CMP(F32Le, CmpSetF32, FCond::Le) CMP(F32Ge, CmpSetF32, FCond::Ge)
-    CMP(F64Eq, CmpSetF64, FCond::Eq) CMP(F64Ne, CmpSetF64, FCond::Ne)
-    CMP(F64Lt, CmpSetF64, FCond::Lt) CMP(F64Gt, CmpSetF64, FCond::Gt)
-    CMP(F64Le, CmpSetF64, FCond::Le) CMP(F64Ge, CmpSetF64, FCond::Ge)
-    ONE(F32Add, AddF32) ONE(F32Sub, SubF32) ONE(F32Mul, MulF32)
-    ONE(F32Div, DivF32) ONE(F32Min, MinF32) ONE(F32Max, MaxF32)
-    ONE(F32Copysign, CopysignF32) ONE(F32Abs, AbsF32) ONE(F32Neg, NegF32)
-    ONE(F32Ceil, CeilF32) ONE(F32Floor, FloorF32) ONE(F32Trunc, TruncF32)
-    ONE(F32Nearest, NearestF32) ONE(F32Sqrt, SqrtF32)
-    ONE(F64Add, AddF64) ONE(F64Sub, SubF64) ONE(F64Mul, MulF64)
-    ONE(F64Div, DivF64) ONE(F64Min, MinF64) ONE(F64Max, MaxF64)
-    ONE(F64Copysign, CopysignF64) ONE(F64Abs, AbsF64) ONE(F64Neg, NegF64)
-    ONE(F64Ceil, CeilF64) ONE(F64Floor, FloorF64) ONE(F64Trunc, TruncF64)
-    ONE(F64Nearest, NearestF64) ONE(F64Sqrt, SqrtF64)
-    ONE(I32WrapI64, Wrap64) ONE(I64ExtendI32S, ExtS3264)
-    ONE(I64ExtendI32U, Wrap64)
-    ONE(I32TruncF32S, TruncF32I32S) ONE(I32TruncF32U, TruncF32I32U)
-    ONE(I32TruncF64S, TruncF64I32S) ONE(I32TruncF64U, TruncF64I32U)
-    ONE(I64TruncF32S, TruncF32I64S) ONE(I64TruncF32U, TruncF32I64U)
-    ONE(I64TruncF64S, TruncF64I64S) ONE(I64TruncF64U, TruncF64I64U)
-    ONE(I32TruncSatF32S, TruncSatF32I32S) ONE(I32TruncSatF32U, TruncSatF32I32U)
-    ONE(I32TruncSatF64S, TruncSatF64I32S) ONE(I32TruncSatF64U, TruncSatF64I32U)
-    ONE(I64TruncSatF32S, TruncSatF32I64S) ONE(I64TruncSatF32U, TruncSatF32I64U)
-    ONE(I64TruncSatF64S, TruncSatF64I64S) ONE(I64TruncSatF64U, TruncSatF64I64U)
-    ONE(F32ConvertI32S, ConvI32SF32) ONE(F32ConvertI32U, ConvI32UF32)
-    ONE(F32ConvertI64S, ConvI64SF32) ONE(F32ConvertI64U, ConvI64UF32)
-    ONE(F64ConvertI32S, ConvI32SF64) ONE(F64ConvertI32U, ConvI32UF64)
-    ONE(F64ConvertI64S, ConvI64SF64) ONE(F64ConvertI64U, ConvI64UF64)
-    ONE(F32DemoteF64, DemoteF64) ONE(F64PromoteF32, PromoteF32)
-    ONE(I32ReinterpretF32, RintFG32) ONE(I64ReinterpretF64, RintFG64)
-    ONE(F32ReinterpretI32, RintGF32) ONE(F64ReinterpretI64, RintGF64)
-    ONE(I32Load, LdM32) ONE(I64Load, LdM64) ONE(F32Load, LdMF32)
-    ONE(F64Load, LdMF64) ONE(I32Load8S, LdM8S32) ONE(I32Load8U, LdM8U32)
-    ONE(I32Load16S, LdM16S32) ONE(I32Load16U, LdM16U32)
-    ONE(I64Load8S, LdM8S64) ONE(I64Load8U, LdM8U64)
-    ONE(I64Load16S, LdM16S64) ONE(I64Load16U, LdM16U64)
-    ONE(I64Load32S, LdM32S64) ONE(I64Load32U, LdM32U64)
-    ONE(I32Store, StM32) ONE(I64Store, StM64) ONE(F32Store, StMF32)
-    ONE(F64Store, StMF64) ONE(I32Store8, StM8) ONE(I32Store16, StM16)
-    ONE(I64Store8, StM8) ONE(I64Store16, StM16) ONE(I64Store32, StM32)
-    ONE(MemoryGrow, MemGrow)
-#undef ONE
-#undef CMP
-  default:
-    return false;
-  }
-}
-
 /// The process-wide template cache.
 class TemplateCache {
 public:
@@ -152,9 +64,8 @@ private:
 };
 
 void TemplateCache::buildSimple(Opcode Op) {
-  MOp M;
-  uint8_t D;
-  if (!mapSimpleOp(Op, &M, &D))
+  const Lowering &L = lowering(Op);
+  if (L.Reg == MOp::Nop)
     return;
   const OpInfo &Info = opInfo(Op);
   bool ImmIsOffset = Info.Imm == ImmKind::MemArg;
@@ -182,47 +93,17 @@ void TemplateCache::buildSimple(Opcode Op) {
     // The computation itself.
     bool FpResult = Info.NPush && isFloatType(Info.Push);
     Reg DstReg = FpResult ? TosF : TosG;
-    MInst Compute{M, DstReg, 0, 0, D, 0, 0};
+    MInst Compute{L.Reg, DstReg, 0, 0, L.Cond, 0, 0};
     if (Info.NPop >= 1)
       Compute.B = OperandRegs[0];
     if (Info.NPop >= 2)
       Compute.C = OperandRegs[1];
     if (ImmIsOffset)
       Compute.Imm = HoleImm;
-    // Loads/stores use (B=address, A=value/dst); rearrange for those.
-    switch (M) {
-    case MOp::LdM8S32:
-    case MOp::LdM8U32:
-    case MOp::LdM16S32:
-    case MOp::LdM16U32:
-    case MOp::LdM32:
-    case MOp::LdM8S64:
-    case MOp::LdM8U64:
-    case MOp::LdM16S64:
-    case MOp::LdM16U64:
-    case MOp::LdM32S64:
-    case MOp::LdM32U64:
-    case MOp::LdM64:
-    case MOp::LdMF32:
-    case MOp::LdMF64:
-      Compute.B = OperandRegs[0]; // Address.
-      break;
-    case MOp::StM8:
-    case MOp::StM16:
-    case MOp::StM32:
-    case MOp::StM64:
-    case MOp::StMF32:
-    case MOp::StMF64:
-      Compute.A = OperandRegs[1]; // Value.
-      Compute.B = OperandRegs[0]; // Address.
-      break;
-    case MOp::MemGrow:
-      Compute.B = OperandRegs[0];
-      break;
-    default:
-      // Unops: operand in B (already set via OperandRegs[0]).
-      break;
-    }
+    // Operands sit in B (and C); a store takes its value in A and its
+    // address in B.
+    if (ImmIsOffset && !Info.NPush)
+      Compute.A = OperandRegs[1];
     S.Insts.push_back(Compute);
     S.ResultInReg = Info.NPush > 0;
     S.Valid = true;

@@ -158,14 +158,6 @@ void bindPatchPoints(MCode &Code, const ProbeRegistry &Probes) {
 
 } // namespace
 
-std::unique_ptr<MCode> Engine::compileOne(const Module &M,
-                                          const FuncDecl &F) {
-  std::unique_ptr<MCode> Code = compileRaw(M, F, Cfg.Opts, Cfg.Compiler);
-  if (Code)
-    bindPatchPoints(*Code, Probes);
-  return Code;
-}
-
 bool Engine::verifyMCodeArtifact(const Module &M, const FuncDecl &F,
                                  const MCode &Code, CompilerKind Kind) {
   if (!Cfg.VerifyArtifacts)

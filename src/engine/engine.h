@@ -378,9 +378,6 @@ public:
   bool onLoopBackedge(Thread &T, FuncInstance *Func,
                       uint32_t TargetIp) override;
 
-  /// Compiles one function with this engine's pipeline.
-  std::unique_ptr<MCode> compileOne(const Module &M, const FuncDecl &F);
-
 private:
   void compileAndInstall(FuncInstance *Func);
   /// (Re-)pre-decodes \p Func's body into threaded IR, honoring the

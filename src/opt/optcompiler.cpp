@@ -24,6 +24,7 @@
 #include "opt/optcompiler.h"
 
 #include "machine/assembler.h"
+#include "machine/lowering.h"
 #include "runtime/numerics.h"
 #include "wasm/codereader.h"
 
@@ -127,11 +128,9 @@ private:
     ConstCSE.clear();
   }
   int emitConst(ValType Ty, uint64_t Bits) {
-    // CSE constants per block.
-    uint64_t Key = Bits * 4 + uint64_t(Ty == ValType::F32 ? 1 : 0) +
-                   uint64_t(Ty == ValType::F64 ? 2 : 0) +
-                   (Ty == ValType::I64 ? 3 : 0) * 0;
-    auto It = ConstCSE.find(Key ^ (uint64_t(Ty) << 56));
+    // CSE constants per block, keyed by all 64 bits and the type.
+    CseKey Key{Bits, uint64_t(Ty), 0};
+    auto It = ConstCSE.find(Key);
     if (It != ConstCSE.end())
       return It->second;
     int V = newVreg(Ty);
@@ -139,7 +138,7 @@ private:
     Vregs[V].Konst = Bits;
     emit(isFloatType(Ty) ? MOp::MovFI : MOp::MovRI, V, NoVreg, NoVreg, 0,
          int64_t(Bits));
-    ConstCSE[Key ^ (uint64_t(Ty) << 56)] = V;
+    ConstCSE[Key] = V;
     return V;
   }
 
@@ -252,7 +251,7 @@ private:
   };
   std::unordered_map<CseKey, int, CseHash> CSE;
   std::unordered_map<CseKey, int, CseHash> LoadCSE;
-  std::unordered_map<uint64_t, int> ConstCSE;
+  std::unordered_map<CseKey, int, CseHash> ConstCSE;
 
   std::vector<std::pair<int, int>> LoopRanges; ///< IR position ranges.
   std::vector<int> CallPositions;
@@ -337,12 +336,6 @@ int OptCompiler::cseLookupOrEmit(MOp Op, ValType Ty, int A, int B, uint8_t D,
   Table[Key] = V;
   return V;
 }
-
-// Maps fixed-signature wasm opcodes to machine ops (shares the scheme of
-// the baseline compilers; defined in copypatch.cpp would create a layering
-// knot, so it is re-derived here).
-static bool mapOp(Opcode Op, MOp *Mo, uint8_t *D);
-static MOp immFormOf(MOp Mo);
 
 void OptCompiler::buildCall(const FuncType &FT, bool Indirect,
                             uint32_t CalleeOrType) {
@@ -973,11 +966,7 @@ void OptCompiler::buildOp(Opcode Op) {
 
   default: {
     // Fixed-signature operations.
-    MOp Mo;
-    uint8_t D;
-    bool Ok = mapOp(Op, &Mo, &D);
-    assert(Ok && "unhandled opcode in optimizing compiler");
-    (void)Ok;
+    const Lowering &L = lowering(Op);
     const OpInfo &Info = opInfo(Op);
     int64_t Imm = 0;
     if (Info.Imm == ImmKind::MemArg) {
@@ -993,7 +982,7 @@ void OptCompiler::buildOp(Opcode Op) {
     if (Info.NPop == 2 && Av >= 0 && Bv >= 0 && Vregs[Av].HasConst &&
         Vregs[Bv].HasConst) {
       uint64_t Out;
-      if (foldBinop(Mo, D, Vregs[Av].Konst, Vregs[Bv].Konst, &Out)) {
+      if (foldBinop(L.Reg, L.Cond, Vregs[Av].Konst, Vregs[Bv].Konst, &Out)) {
         push(emitConst(Info.Push, Out));
         return;
       }
@@ -1002,22 +991,19 @@ void OptCompiler::buildOp(Opcode Op) {
     // Instruction selection: fold a constant rhs into the immediate form
     // (the MovRI definition becomes dead and DCE removes it).
     if (!HasSideEffect && Info.NPop == 2 && Bv >= 0 &&
-        Vregs[uint32_t(Bv)].HasConst) {
-      MOp ImmMo = immFormOf(Mo);
-      if (ImmMo != MOp::Nop) {
-        int VI = cseLookupOrEmit(ImmMo, Info.Push, Av, NoVreg, D,
-                                 int64_t(Vregs[uint32_t(Bv)].Konst));
-        push(VI);
-        return;
-      }
+        Vregs[uint32_t(Bv)].HasConst && L.Imm != MOp::Nop) {
+      int VI = cseLookupOrEmit(L.Imm, Info.Push, Av, NoVreg, L.Cond,
+                               int64_t(Vregs[uint32_t(Bv)].Konst));
+      push(VI);
+      return;
     }
     int V;
     if (HasSideEffect) {
       V = Info.NPush ? newVreg(Info.Push) : NoVreg;
       IRInst I;
-      I.Op = Mo;
+      I.Op = L.Reg;
       I.Dst = V;
-      I.D = D;
+      I.D = L.Cond;
       I.Imm = Imm;
       if (Info.NPop == 1) {
         I.A = Av;
@@ -1035,142 +1021,12 @@ void OptCompiler::buildOp(Opcode Op) {
       defBump(V);
       Insts.push_back(I);
     } else {
-      V = cseLookupOrEmit(Mo, Info.Push, Av, Bv, D, Imm);
+      V = cseLookupOrEmit(L.Reg, Info.Push, Av, Bv, L.Cond, Imm);
     }
     if (Info.NPush)
       push(V);
     return;
   }
-  }
-}
-
-// The opcode->machine-op mapping shared by simple operations.
-static MOp immFormOf(MOp Mo) {
-  switch (Mo) {
-  case MOp::Add32:
-    return MOp::AddI32;
-  case MOp::Mul32:
-    return MOp::MulI32;
-  case MOp::And32:
-    return MOp::AndI32;
-  case MOp::Or32:
-    return MOp::OrI32;
-  case MOp::Xor32:
-    return MOp::XorI32;
-  case MOp::Shl32:
-    return MOp::ShlI32;
-  case MOp::ShrS32:
-    return MOp::ShrSI32;
-  case MOp::ShrU32:
-    return MOp::ShrUI32;
-  case MOp::CmpSet32:
-    return MOp::CmpSetI32;
-  case MOp::Add64:
-    return MOp::AddI64;
-  case MOp::Mul64:
-    return MOp::MulI64;
-  case MOp::And64:
-    return MOp::AndI64;
-  case MOp::Or64:
-    return MOp::OrI64;
-  case MOp::Xor64:
-    return MOp::XorI64;
-  case MOp::Shl64:
-    return MOp::ShlI64;
-  case MOp::ShrS64:
-    return MOp::ShrSI64;
-  case MOp::ShrU64:
-    return MOp::ShrUI64;
-  case MOp::CmpSet64:
-    return MOp::CmpSetI64;
-  default:
-    return MOp::Nop;
-  }
-}
-
-static bool mapOp(Opcode Op, MOp *Mo, uint8_t *D) {
-  *D = 0;
-  switch (Op) {
-#define C2(OPC, MOPC, COND)                                                    \
-  case Opcode::OPC:                                                            \
-    *Mo = MOp::MOPC;                                                           \
-    *D = uint8_t(COND);                                                        \
-    return true;
-#define M1(OPC, MOPC)                                                          \
-  case Opcode::OPC:                                                            \
-    *Mo = MOp::MOPC;                                                           \
-    return true;
-    M1(I32Add, Add32) M1(I32Sub, Sub32) M1(I32Mul, Mul32)
-    M1(I32DivS, DivS32) M1(I32DivU, DivU32) M1(I32RemS, RemS32)
-    M1(I32RemU, RemU32) M1(I32And, And32) M1(I32Or, Or32) M1(I32Xor, Xor32)
-    M1(I32Shl, Shl32) M1(I32ShrS, ShrS32) M1(I32ShrU, ShrU32)
-    M1(I32Rotl, Rotl32) M1(I32Rotr, Rotr32) M1(I32Clz, Clz32)
-    M1(I32Ctz, Ctz32) M1(I32Popcnt, Popcnt32) M1(I32Eqz, Eqz32)
-    M1(I32Extend8S, Ext8S32) M1(I32Extend16S, Ext16S32)
-    M1(I64Add, Add64) M1(I64Sub, Sub64) M1(I64Mul, Mul64)
-    M1(I64DivS, DivS64) M1(I64DivU, DivU64) M1(I64RemS, RemS64)
-    M1(I64RemU, RemU64) M1(I64And, And64) M1(I64Or, Or64) M1(I64Xor, Xor64)
-    M1(I64Shl, Shl64) M1(I64ShrS, ShrS64) M1(I64ShrU, ShrU64)
-    M1(I64Rotl, Rotl64) M1(I64Rotr, Rotr64) M1(I64Clz, Clz64)
-    M1(I64Ctz, Ctz64) M1(I64Popcnt, Popcnt64) M1(I64Eqz, Eqz64)
-    M1(I64Extend8S, Ext8S64) M1(I64Extend16S, Ext16S64)
-    M1(I64Extend32S, Ext32S64)
-    C2(I32Eq, CmpSet32, Cond::Eq) C2(I32Ne, CmpSet32, Cond::Ne)
-    C2(I32LtS, CmpSet32, Cond::LtS) C2(I32LtU, CmpSet32, Cond::LtU)
-    C2(I32GtS, CmpSet32, Cond::GtS) C2(I32GtU, CmpSet32, Cond::GtU)
-    C2(I32LeS, CmpSet32, Cond::LeS) C2(I32LeU, CmpSet32, Cond::LeU)
-    C2(I32GeS, CmpSet32, Cond::GeS) C2(I32GeU, CmpSet32, Cond::GeU)
-    C2(I64Eq, CmpSet64, Cond::Eq) C2(I64Ne, CmpSet64, Cond::Ne)
-    C2(I64LtS, CmpSet64, Cond::LtS) C2(I64LtU, CmpSet64, Cond::LtU)
-    C2(I64GtS, CmpSet64, Cond::GtS) C2(I64GtU, CmpSet64, Cond::GtU)
-    C2(I64LeS, CmpSet64, Cond::LeS) C2(I64LeU, CmpSet64, Cond::LeU)
-    C2(I64GeS, CmpSet64, Cond::GeS) C2(I64GeU, CmpSet64, Cond::GeU)
-    C2(F32Eq, CmpSetF32, FCond::Eq) C2(F32Ne, CmpSetF32, FCond::Ne)
-    C2(F32Lt, CmpSetF32, FCond::Lt) C2(F32Gt, CmpSetF32, FCond::Gt)
-    C2(F32Le, CmpSetF32, FCond::Le) C2(F32Ge, CmpSetF32, FCond::Ge)
-    C2(F64Eq, CmpSetF64, FCond::Eq) C2(F64Ne, CmpSetF64, FCond::Ne)
-    C2(F64Lt, CmpSetF64, FCond::Lt) C2(F64Gt, CmpSetF64, FCond::Gt)
-    C2(F64Le, CmpSetF64, FCond::Le) C2(F64Ge, CmpSetF64, FCond::Ge)
-    M1(F32Add, AddF32) M1(F32Sub, SubF32) M1(F32Mul, MulF32)
-    M1(F32Div, DivF32) M1(F32Min, MinF32) M1(F32Max, MaxF32)
-    M1(F32Copysign, CopysignF32) M1(F32Abs, AbsF32) M1(F32Neg, NegF32)
-    M1(F32Ceil, CeilF32) M1(F32Floor, FloorF32) M1(F32Trunc, TruncF32)
-    M1(F32Nearest, NearestF32) M1(F32Sqrt, SqrtF32)
-    M1(F64Add, AddF64) M1(F64Sub, SubF64) M1(F64Mul, MulF64)
-    M1(F64Div, DivF64) M1(F64Min, MinF64) M1(F64Max, MaxF64)
-    M1(F64Copysign, CopysignF64) M1(F64Abs, AbsF64) M1(F64Neg, NegF64)
-    M1(F64Ceil, CeilF64) M1(F64Floor, FloorF64) M1(F64Trunc, TruncF64)
-    M1(F64Nearest, NearestF64) M1(F64Sqrt, SqrtF64)
-    M1(I32WrapI64, Wrap64) M1(I64ExtendI32S, ExtS3264)
-    M1(I64ExtendI32U, Wrap64)
-    M1(I32TruncF32S, TruncF32I32S) M1(I32TruncF32U, TruncF32I32U)
-    M1(I32TruncF64S, TruncF64I32S) M1(I32TruncF64U, TruncF64I32U)
-    M1(I64TruncF32S, TruncF32I64S) M1(I64TruncF32U, TruncF32I64U)
-    M1(I64TruncF64S, TruncF64I64S) M1(I64TruncF64U, TruncF64I64U)
-    M1(I32TruncSatF32S, TruncSatF32I32S) M1(I32TruncSatF32U, TruncSatF32I32U)
-    M1(I32TruncSatF64S, TruncSatF64I32S) M1(I32TruncSatF64U, TruncSatF64I32U)
-    M1(I64TruncSatF32S, TruncSatF32I64S) M1(I64TruncSatF32U, TruncSatF32I64U)
-    M1(I64TruncSatF64S, TruncSatF64I64S) M1(I64TruncSatF64U, TruncSatF64I64U)
-    M1(F32ConvertI32S, ConvI32SF32) M1(F32ConvertI32U, ConvI32UF32)
-    M1(F32ConvertI64S, ConvI64SF32) M1(F32ConvertI64U, ConvI64UF32)
-    M1(F64ConvertI32S, ConvI32SF64) M1(F64ConvertI32U, ConvI32UF64)
-    M1(F64ConvertI64S, ConvI64SF64) M1(F64ConvertI64U, ConvI64UF64)
-    M1(F32DemoteF64, DemoteF64) M1(F64PromoteF32, PromoteF32)
-    M1(I32ReinterpretF32, RintFG32) M1(I64ReinterpretF64, RintFG64)
-    M1(F32ReinterpretI32, RintGF32) M1(F64ReinterpretI64, RintGF64)
-    M1(I32Load, LdM32) M1(I64Load, LdM64) M1(F32Load, LdMF32)
-    M1(F64Load, LdMF64) M1(I32Load8S, LdM8S32) M1(I32Load8U, LdM8U32)
-    M1(I32Load16S, LdM16S32) M1(I32Load16U, LdM16U32)
-    M1(I64Load8S, LdM8S64) M1(I64Load8U, LdM8U64)
-    M1(I64Load16S, LdM16S64) M1(I64Load16U, LdM16U64)
-    M1(I64Load32S, LdM32S64) M1(I64Load32U, LdM32U64)
-    M1(I32Store, StM32) M1(I64Store, StM64) M1(F32Store, StMF32)
-    M1(F64Store, StMF64) M1(I32Store8, StM8) M1(I32Store16, StM16)
-    M1(I64Store8, StM8) M1(I64Store16, StM16) M1(I64Store32, StM32)
-#undef M1
-#undef C2
-  default:
-    return false;
   }
 }
 

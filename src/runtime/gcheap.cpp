@@ -34,16 +34,6 @@ HostObject &GcHeap::object(uint64_t Id) {
   return O;
 }
 
-const HostObject &GcHeap::object(uint64_t Id) const {
-  return const_cast<GcHeap *>(this)->object(Id);
-}
-
-bool GcHeap::isLive(uint64_t Id) const {
-  if (Id == 0 || Id > Objects.size())
-    return false;
-  return Objects[Id - 1].Live;
-}
-
 size_t GcHeap::collect(const std::vector<uint64_t> &Roots) {
   ++Collections;
   // Mark.

@@ -39,10 +39,6 @@ public:
 
   /// Returns the object for a nonzero id; asserts on dangling ids.
   HostObject &object(uint64_t Id);
-  const HostObject &object(uint64_t Id) const;
-
-  /// True if the id denotes a live object.
-  bool isLive(uint64_t Id) const;
 
   /// Runs a full mark-sweep collection from the given root ids.
   /// Returns the number of objects freed.

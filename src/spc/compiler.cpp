@@ -24,6 +24,7 @@
 #include "spc/compiler.h"
 
 #include "machine/assembler.h"
+#include "machine/lowering.h"
 #include "runtime/numerics.h"
 #include "spc/abstract_state.h"
 #include "wasm/codereader.h"
@@ -461,11 +462,11 @@ private:
   }
 
   // --- Op family compilers ---
-  void compileBinop(Opcode Op, ValType OpTy, ValType ResTy, MOp RegForm,
-                    MOp ImmForm, bool Commutative);
+  void compileBinop(Opcode Op, ValType OpTy, ValType ResTy, const Lowering &L);
   void compileUnop(Opcode Op, ValType InTy, ValType OutTy, MOp Form);
-  void compileCmp(bool Is64, Cond C);
-  void compileCmpF(bool Is64, FCond C);
+  void compileCmp(bool Is64, const Lowering &L);
+  void compileEqz(bool Is64);
+  void pushCmpResult(Reg Rd, PendingCmp P);
   void compileDivRem(Opcode Op, bool Is64, MOp Form);
   void compileLoad(MOp Form, ValType ResTy);
   void compileStore(MOp Form);
@@ -531,36 +532,6 @@ bool SPC::tryFoldBinop(Opcode Op, uint64_t Av, uint64_t Bv, uint64_t *Out) {
   case Opcode::I32Rotr:
     *Out = rotr32(A32, B32);
     return true;
-  case Opcode::I32Eq:
-    *Out = A32 == B32;
-    return true;
-  case Opcode::I32Ne:
-    *Out = A32 != B32;
-    return true;
-  case Opcode::I32LtS:
-    *Out = int32_t(A32) < int32_t(B32);
-    return true;
-  case Opcode::I32LtU:
-    *Out = A32 < B32;
-    return true;
-  case Opcode::I32GtS:
-    *Out = int32_t(A32) > int32_t(B32);
-    return true;
-  case Opcode::I32GtU:
-    *Out = A32 > B32;
-    return true;
-  case Opcode::I32LeS:
-    *Out = int32_t(A32) <= int32_t(B32);
-    return true;
-  case Opcode::I32LeU:
-    *Out = A32 <= B32;
-    return true;
-  case Opcode::I32GeS:
-    *Out = int32_t(A32) >= int32_t(B32);
-    return true;
-  case Opcode::I32GeU:
-    *Out = A32 >= B32;
-    return true;
   case Opcode::I64Add:
     *Out = Av + Bv;
     return true;
@@ -594,50 +565,14 @@ bool SPC::tryFoldBinop(Opcode Op, uint64_t Av, uint64_t Bv, uint64_t *Out) {
   case Opcode::I64Rotr:
     *Out = rotr64(Av, Bv);
     return true;
-  case Opcode::I64Eq:
-    *Out = Av == Bv;
-    return true;
-  case Opcode::I64Ne:
-    *Out = Av != Bv;
-    return true;
-  case Opcode::I64LtS:
-    *Out = int64_t(Av) < int64_t(Bv);
-    return true;
-  case Opcode::I64LtU:
-    *Out = Av < Bv;
-    return true;
-  case Opcode::I64GtS:
-    *Out = int64_t(Av) > int64_t(Bv);
-    return true;
-  case Opcode::I64GtU:
-    *Out = Av > Bv;
-    return true;
-  case Opcode::I64LeS:
-    *Out = int64_t(Av) <= int64_t(Bv);
-    return true;
-  case Opcode::I64LeU:
-    *Out = Av <= Bv;
-    return true;
-  case Opcode::I64GeS:
-    *Out = int64_t(Av) >= int64_t(Bv);
-    return true;
-  case Opcode::I64GeU:
-    *Out = Av >= Bv;
-    return true;
   default:
-    return false; // Floats and trapping ops are not folded.
+    return false; // Compares fold in compileCmp; floats and traps never.
   }
 }
 
 bool SPC::tryFoldUnop(Opcode Op, uint64_t Av, uint64_t *Out) {
   uint32_t A32 = uint32_t(Av);
   switch (Op) {
-  case Opcode::I32Eqz:
-    *Out = A32 == 0;
-    return true;
-  case Opcode::I64Eqz:
-    *Out = Av == 0;
-    return true;
   case Opcode::I32Clz:
     *Out = clz32(A32);
     return true;
@@ -685,8 +620,8 @@ bool SPC::tryFoldUnop(Opcode Op, uint64_t Av, uint64_t *Out) {
   }
 }
 
-void SPC::compileBinop(Opcode Op, ValType OpTy, ValType ResTy, MOp RegForm,
-                       MOp ImmForm, bool Commutative) {
+void SPC::compileBinop(Opcode Op, ValType OpTy, ValType ResTy,
+                       const Lowering &L) {
   uint32_t Sb = topSlot(), Sa = topSlot() - 1;
   AVal Av = Vals[Sa], Bv = Vals[Sb];
 
@@ -759,13 +694,13 @@ void SPC::compileBinop(Opcode Op, ValType OpTy, ValType ResTy, MOp RegForm,
 
   // Immediate form selection (the register side becomes the lhs; for
   // commutative ops a constant lhs is swapped into the immediate).
-  if (Opts.InstructionSelect && ImmForm != MOp::Nop) {
+  if (Opts.InstructionSelect && L.Imm != MOp::Nop) {
     uint32_t RegSlot = ~0u;
     uint64_t ImmVal = 0;
     if (Bv.isConst()) {
       RegSlot = Sa;
       ImmVal = Bv.Konst;
-    } else if (Commutative && Av.isConst()) {
+    } else if (L.Commutative && Av.isConst()) {
       RegSlot = Sb;
       ImmVal = Av.Konst;
     }
@@ -774,7 +709,7 @@ void SPC::compileBinop(Opcode Op, ValType OpTy, ValType ResTy, MOp RegForm,
       popOperand();
       popOperand();
       Reg Rd = allocRegPrefer(ResTy, Ra);
-      A.emit(ImmForm, Rd, Ra, 0, 0, int64_t(ImmVal));
+      A.emit(L.Imm, Rd, Ra, 0, 0, int64_t(ImmVal));
       pushReg(ResTy, Rd);
       return;
     }
@@ -787,7 +722,7 @@ void SPC::compileBinop(Opcode Op, ValType OpTy, ValType ResTy, MOp RegForm,
   popOperand();
   bool SameClass = isFp(ResTy) == isFp(OpTy);
   Reg Rd = allocRegPrefer(ResTy, SameClass ? Ra : NoReg);
-  A.emit(RegForm, Rd, Ra, Rb);
+  A.emit(L.Reg, Rd, Ra, Rb, L.Cond);
   pushReg(ResTy, Rd);
 }
 
@@ -808,9 +743,10 @@ void SPC::compileUnop(Opcode Op, ValType InTy, ValType OutTy, MOp Form) {
   pushReg(OutTy, Rd);
 }
 
-void SPC::compileCmp(bool Is64, Cond C) {
+void SPC::compileCmp(bool Is64, const Lowering &L) {
   uint32_t Sb = topSlot(), Sa = topSlot() - 1;
   AVal Av = Vals[Sa], Bv = Vals[Sb];
+  Cond C = Cond(L.Cond);
   if (Opts.ConstantFolding && Av.isConst() && Bv.isConst()) {
     bool V = Is64 ? evalCond64(C, Av.Konst, Bv.Konst)
                   : evalCond32(C, uint32_t(Av.Konst), uint32_t(Bv.Konst));
@@ -828,8 +764,7 @@ void SPC::compileCmp(bool Is64, Cond C) {
     popOperand();
     popOperand();
     Rd = allocRegPrefer(ValType::I32, Ra);
-    P.InstPc = A.emit(Is64 ? MOp::CmpSetI64 : MOp::CmpSetI32, Rd, Ra, 0,
-                      uint8_t(C), int64_t(Bv.Konst));
+    P.InstPc = A.emit(L.Imm, Rd, Ra, 0, L.Cond, int64_t(Bv.Konst));
     P.Lhs = Ra;
     P.RhsIsImm = true;
     P.Imm = int64_t(Bv.Konst);
@@ -839,27 +774,43 @@ void SPC::compileCmp(bool Is64, Cond C) {
     popOperand();
     popOperand();
     Rd = allocRegPrefer(ValType::I32, Ra);
-    P.InstPc =
-        A.emit(Is64 ? MOp::CmpSet64 : MOp::CmpSet32, Rd, Ra, Rb, uint8_t(C));
+    P.InstPc = A.emit(L.Reg, Rd, Ra, Rb, L.Cond);
     P.Lhs = Ra;
     P.Rhs = Rb;
   }
+  pushCmpResult(Rd, P);
+}
+
+void SPC::compileEqz(bool Is64) {
+  // eqz is a compare against 0 so the peephole can fuse it.
+  AVal Av = Vals[topSlot()];
+  if (Opts.ConstantFolding && Av.isConst()) {
+    popOperand();
+    pushConst(ValType::I32, Is64 ? Av.Konst == 0 : uint32_t(Av.Konst) == 0);
+    return;
+  }
+  Reg Ra = ensureInReg(topSlot());
+  popOperand();
+  Reg Rd = allocRegPrefer(ValType::I32, Ra);
+  PendingCmp P;
+  P.InstPc = A.emit(Is64 ? MOp::CmpSetI64 : MOp::CmpSetI32, Rd, Ra, 0,
+                    uint8_t(Cond::Eq), 0);
+  P.Is64 = Is64;
+  P.Lhs = Ra;
+  P.RhsIsImm = true;
+  P.Imm = 0;
+  P.C = Cond::Eq;
+  pushCmpResult(Rd, P);
+}
+
+/// Pushes a compare's result register and remembers the compare for the
+/// compare+branch peephole.
+void SPC::pushCmpResult(Reg Rd, PendingCmp P) {
   pushReg(ValType::I32, Rd);
   P.Valid = Opts.Peephole;
   P.DstSlot = topSlot();
   P.Gen = StackGen;
   LastCmp = P;
-}
-
-void SPC::compileCmpF(bool Is64, FCond C) {
-  uint32_t Sb = topSlot(), Sa = topSlot() - 1;
-  Reg Ra = ensureInReg(Sa);
-  Reg Rb = ensureInReg(Sb, pin(Ra));
-  popOperand();
-  popOperand();
-  Reg Rd = allocReg(ValType::I32);
-  A.emit(Is64 ? MOp::CmpSetF64 : MOp::CmpSetF32, Rd, Ra, Rb, uint8_t(C));
-  pushReg(ValType::I32, Rd);
 }
 
 void SPC::compileDivRem(Opcode Op, bool Is64, MOp Form) {
@@ -1587,557 +1538,35 @@ void SPC::compileOp(Opcode Op, uint32_t) {
     return;
   }
 
+  case Opcode::I32Eqz:
+  case Opcode::I64Eqz:
+    compileEqz(Op == Opcode::I64Eqz);
+    return;
+
   default:
     break;
   }
 
-  // Comparison, arithmetic, conversion and memory families.
-  using V = ValType;
-  switch (Op) {
-  // --- i32 compares ---
-  case Opcode::I32Eqz: {
-    // eqz is a compare against 0 so the peephole can fuse it.
-    AVal Av = Vals[topSlot()];
-    if (Opts.ConstantFolding && Av.isConst()) {
-      popOperand();
-      pushConst(V::I32, uint32_t(Av.Konst) == 0);
-      return;
-    }
-    Reg Ra = ensureInReg(topSlot());
-    popOperand();
-    Reg Rd = allocRegPrefer(V::I32, Ra);
-    PendingCmp P;
-    P.InstPc = A.emit(MOp::CmpSetI32, Rd, Ra, 0, uint8_t(Cond::Eq), 0);
-    P.Lhs = Ra;
-    P.RhsIsImm = true;
-    P.Imm = 0;
-    P.C = Cond::Eq;
-    pushReg(V::I32, Rd);
-    P.Valid = Opts.Peephole;
-    P.DstSlot = topSlot();
-    P.Gen = StackGen;
-    LastCmp = P;
-    return;
-  }
-  case Opcode::I32Eq:
-    compileCmp(false, Cond::Eq);
-    return;
-  case Opcode::I32Ne:
-    compileCmp(false, Cond::Ne);
-    return;
-  case Opcode::I32LtS:
-    compileCmp(false, Cond::LtS);
-    return;
-  case Opcode::I32LtU:
-    compileCmp(false, Cond::LtU);
-    return;
-  case Opcode::I32GtS:
-    compileCmp(false, Cond::GtS);
-    return;
-  case Opcode::I32GtU:
-    compileCmp(false, Cond::GtU);
-    return;
-  case Opcode::I32LeS:
-    compileCmp(false, Cond::LeS);
-    return;
-  case Opcode::I32LeU:
-    compileCmp(false, Cond::LeU);
-    return;
-  case Opcode::I32GeS:
-    compileCmp(false, Cond::GeS);
-    return;
-  case Opcode::I32GeU:
-    compileCmp(false, Cond::GeU);
-    return;
-  case Opcode::I64Eqz: {
-    AVal Av = Vals[topSlot()];
-    if (Opts.ConstantFolding && Av.isConst()) {
-      popOperand();
-      pushConst(V::I32, Av.Konst == 0);
-      return;
-    }
-    Reg Ra = ensureInReg(topSlot());
-    popOperand();
-    Reg Rd = allocRegPrefer(V::I32, Ra);
-    PendingCmp P;
-    P.InstPc = A.emit(MOp::CmpSetI64, Rd, Ra, 0, uint8_t(Cond::Eq), 0);
-    P.Is64 = true;
-    P.Lhs = Ra;
-    P.RhsIsImm = true;
-    P.Imm = 0;
-    P.C = Cond::Eq;
-    pushReg(V::I32, Rd);
-    P.Valid = Opts.Peephole;
-    P.DstSlot = topSlot();
-    P.Gen = StackGen;
-    LastCmp = P;
-    return;
-  }
-  case Opcode::I64Eq:
-    compileCmp(true, Cond::Eq);
-    return;
-  case Opcode::I64Ne:
-    compileCmp(true, Cond::Ne);
-    return;
-  case Opcode::I64LtS:
-    compileCmp(true, Cond::LtS);
-    return;
-  case Opcode::I64LtU:
-    compileCmp(true, Cond::LtU);
-    return;
-  case Opcode::I64GtS:
-    compileCmp(true, Cond::GtS);
-    return;
-  case Opcode::I64GtU:
-    compileCmp(true, Cond::GtU);
-    return;
-  case Opcode::I64LeS:
-    compileCmp(true, Cond::LeS);
-    return;
-  case Opcode::I64LeU:
-    compileCmp(true, Cond::LeU);
-    return;
-  case Opcode::I64GeS:
-    compileCmp(true, Cond::GeS);
-    return;
-  case Opcode::I64GeU:
-    compileCmp(true, Cond::GeU);
-    return;
-  case Opcode::F32Eq:
-    compileCmpF(false, FCond::Eq);
-    return;
-  case Opcode::F32Ne:
-    compileCmpF(false, FCond::Ne);
-    return;
-  case Opcode::F32Lt:
-    compileCmpF(false, FCond::Lt);
-    return;
-  case Opcode::F32Gt:
-    compileCmpF(false, FCond::Gt);
-    return;
-  case Opcode::F32Le:
-    compileCmpF(false, FCond::Le);
-    return;
-  case Opcode::F32Ge:
-    compileCmpF(false, FCond::Ge);
-    return;
-  case Opcode::F64Eq:
-    compileCmpF(true, FCond::Eq);
-    return;
-  case Opcode::F64Ne:
-    compileCmpF(true, FCond::Ne);
-    return;
-  case Opcode::F64Lt:
-    compileCmpF(true, FCond::Lt);
-    return;
-  case Opcode::F64Gt:
-    compileCmpF(true, FCond::Gt);
-    return;
-  case Opcode::F64Le:
-    compileCmpF(true, FCond::Le);
-    return;
-  case Opcode::F64Ge:
-    compileCmpF(true, FCond::Ge);
-    return;
-
-  // --- i32 arithmetic ---
-  case Opcode::I32Add:
-    compileBinop(Op, V::I32, V::I32, MOp::Add32, MOp::AddI32, true);
-    return;
-  case Opcode::I32Sub:
-    compileBinop(Op, V::I32, V::I32, MOp::Sub32, MOp::Nop, false);
-    return;
-  case Opcode::I32Mul:
-    compileBinop(Op, V::I32, V::I32, MOp::Mul32, MOp::MulI32, true);
-    return;
-  case Opcode::I32DivS:
-    compileDivRem(Op, false, MOp::DivS32);
-    return;
-  case Opcode::I32DivU:
-    compileDivRem(Op, false, MOp::DivU32);
-    return;
-  case Opcode::I32RemS:
-    compileDivRem(Op, false, MOp::RemS32);
-    return;
-  case Opcode::I32RemU:
-    compileDivRem(Op, false, MOp::RemU32);
-    return;
-  case Opcode::I32And:
-    compileBinop(Op, V::I32, V::I32, MOp::And32, MOp::AndI32, true);
-    return;
-  case Opcode::I32Or:
-    compileBinop(Op, V::I32, V::I32, MOp::Or32, MOp::OrI32, true);
-    return;
-  case Opcode::I32Xor:
-    compileBinop(Op, V::I32, V::I32, MOp::Xor32, MOp::XorI32, true);
-    return;
-  case Opcode::I32Shl:
-    compileBinop(Op, V::I32, V::I32, MOp::Shl32, MOp::ShlI32, false);
-    return;
-  case Opcode::I32ShrS:
-    compileBinop(Op, V::I32, V::I32, MOp::ShrS32, MOp::ShrSI32, false);
-    return;
-  case Opcode::I32ShrU:
-    compileBinop(Op, V::I32, V::I32, MOp::ShrU32, MOp::ShrUI32, false);
-    return;
-  case Opcode::I32Rotl:
-    compileBinop(Op, V::I32, V::I32, MOp::Rotl32, MOp::Nop, false);
-    return;
-  case Opcode::I32Rotr:
-    compileBinop(Op, V::I32, V::I32, MOp::Rotr32, MOp::Nop, false);
-    return;
-  case Opcode::I32Clz:
-    compileUnop(Op, V::I32, V::I32, MOp::Clz32);
-    return;
-  case Opcode::I32Ctz:
-    compileUnop(Op, V::I32, V::I32, MOp::Ctz32);
-    return;
-  case Opcode::I32Popcnt:
-    compileUnop(Op, V::I32, V::I32, MOp::Popcnt32);
-    return;
-
-  // --- i64 arithmetic ---
-  case Opcode::I64Add:
-    compileBinop(Op, V::I64, V::I64, MOp::Add64, MOp::AddI64, true);
-    return;
-  case Opcode::I64Sub:
-    compileBinop(Op, V::I64, V::I64, MOp::Sub64, MOp::Nop, false);
-    return;
-  case Opcode::I64Mul:
-    compileBinop(Op, V::I64, V::I64, MOp::Mul64, MOp::MulI64, true);
-    return;
-  case Opcode::I64DivS:
-    compileDivRem(Op, true, MOp::DivS64);
-    return;
-  case Opcode::I64DivU:
-    compileDivRem(Op, true, MOp::DivU64);
-    return;
-  case Opcode::I64RemS:
-    compileDivRem(Op, true, MOp::RemS64);
-    return;
-  case Opcode::I64RemU:
-    compileDivRem(Op, true, MOp::RemU64);
-    return;
-  case Opcode::I64And:
-    compileBinop(Op, V::I64, V::I64, MOp::And64, MOp::AndI64, true);
-    return;
-  case Opcode::I64Or:
-    compileBinop(Op, V::I64, V::I64, MOp::Or64, MOp::OrI64, true);
-    return;
-  case Opcode::I64Xor:
-    compileBinop(Op, V::I64, V::I64, MOp::Xor64, MOp::XorI64, true);
-    return;
-  case Opcode::I64Shl:
-    compileBinop(Op, V::I64, V::I64, MOp::Shl64, MOp::ShlI64, false);
-    return;
-  case Opcode::I64ShrS:
-    compileBinop(Op, V::I64, V::I64, MOp::ShrS64, MOp::ShrSI64, false);
-    return;
-  case Opcode::I64ShrU:
-    compileBinop(Op, V::I64, V::I64, MOp::ShrU64, MOp::ShrUI64, false);
-    return;
-  case Opcode::I64Rotl:
-    compileBinop(Op, V::I64, V::I64, MOp::Rotl64, MOp::Nop, false);
-    return;
-  case Opcode::I64Rotr:
-    compileBinop(Op, V::I64, V::I64, MOp::Rotr64, MOp::Nop, false);
-    return;
-  case Opcode::I64Clz:
-    compileUnop(Op, V::I64, V::I64, MOp::Clz64);
-    return;
-  case Opcode::I64Ctz:
-    compileUnop(Op, V::I64, V::I64, MOp::Ctz64);
-    return;
-  case Opcode::I64Popcnt:
-    compileUnop(Op, V::I64, V::I64, MOp::Popcnt64);
-    return;
-
-  // --- float arithmetic ---
-  case Opcode::F32Add:
-    compileBinop(Op, V::F32, V::F32, MOp::AddF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Sub:
-    compileBinop(Op, V::F32, V::F32, MOp::SubF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Mul:
-    compileBinop(Op, V::F32, V::F32, MOp::MulF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Div:
-    compileBinop(Op, V::F32, V::F32, MOp::DivF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Min:
-    compileBinop(Op, V::F32, V::F32, MOp::MinF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Max:
-    compileBinop(Op, V::F32, V::F32, MOp::MaxF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Copysign:
-    compileBinop(Op, V::F32, V::F32, MOp::CopysignF32, MOp::Nop, false);
-    return;
-  case Opcode::F32Abs:
-    compileUnop(Op, V::F32, V::F32, MOp::AbsF32);
-    return;
-  case Opcode::F32Neg:
-    compileUnop(Op, V::F32, V::F32, MOp::NegF32);
-    return;
-  case Opcode::F32Ceil:
-    compileUnop(Op, V::F32, V::F32, MOp::CeilF32);
-    return;
-  case Opcode::F32Floor:
-    compileUnop(Op, V::F32, V::F32, MOp::FloorF32);
-    return;
-  case Opcode::F32Trunc:
-    compileUnop(Op, V::F32, V::F32, MOp::TruncF32);
-    return;
-  case Opcode::F32Nearest:
-    compileUnop(Op, V::F32, V::F32, MOp::NearestF32);
-    return;
-  case Opcode::F32Sqrt:
-    compileUnop(Op, V::F32, V::F32, MOp::SqrtF32);
-    return;
-  case Opcode::F64Add:
-    compileBinop(Op, V::F64, V::F64, MOp::AddF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Sub:
-    compileBinop(Op, V::F64, V::F64, MOp::SubF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Mul:
-    compileBinop(Op, V::F64, V::F64, MOp::MulF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Div:
-    compileBinop(Op, V::F64, V::F64, MOp::DivF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Min:
-    compileBinop(Op, V::F64, V::F64, MOp::MinF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Max:
-    compileBinop(Op, V::F64, V::F64, MOp::MaxF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Copysign:
-    compileBinop(Op, V::F64, V::F64, MOp::CopysignF64, MOp::Nop, false);
-    return;
-  case Opcode::F64Abs:
-    compileUnop(Op, V::F64, V::F64, MOp::AbsF64);
-    return;
-  case Opcode::F64Neg:
-    compileUnop(Op, V::F64, V::F64, MOp::NegF64);
-    return;
-  case Opcode::F64Ceil:
-    compileUnop(Op, V::F64, V::F64, MOp::CeilF64);
-    return;
-  case Opcode::F64Floor:
-    compileUnop(Op, V::F64, V::F64, MOp::FloorF64);
-    return;
-  case Opcode::F64Trunc:
-    compileUnop(Op, V::F64, V::F64, MOp::TruncF64);
-    return;
-  case Opcode::F64Nearest:
-    compileUnop(Op, V::F64, V::F64, MOp::NearestF64);
-    return;
-  case Opcode::F64Sqrt:
-    compileUnop(Op, V::F64, V::F64, MOp::SqrtF64);
-    return;
-
-  // --- conversions ---
-  case Opcode::I32WrapI64:
-    compileUnop(Op, V::I64, V::I32, MOp::Wrap64);
-    return;
-  case Opcode::I64ExtendI32S:
-    compileUnop(Op, V::I32, V::I64, MOp::ExtS3264);
-    return;
-  case Opcode::I64ExtendI32U:
-    compileUnop(Op, V::I32, V::I64, MOp::Wrap64);
-    return;
-  case Opcode::I32Extend8S:
-    compileUnop(Op, V::I32, V::I32, MOp::Ext8S32);
-    return;
-  case Opcode::I32Extend16S:
-    compileUnop(Op, V::I32, V::I32, MOp::Ext16S32);
-    return;
-  case Opcode::I64Extend8S:
-    compileUnop(Op, V::I64, V::I64, MOp::Ext8S64);
-    return;
-  case Opcode::I64Extend16S:
-    compileUnop(Op, V::I64, V::I64, MOp::Ext16S64);
-    return;
-  case Opcode::I64Extend32S:
-    compileUnop(Op, V::I64, V::I64, MOp::Ext32S64);
-    return;
-  case Opcode::I32TruncF32S:
-    flushTagsForTrap();
-    compileUnop(Op, V::F32, V::I32, MOp::TruncF32I32S);
-    return;
-  case Opcode::I32TruncF32U:
-    flushTagsForTrap();
-    compileUnop(Op, V::F32, V::I32, MOp::TruncF32I32U);
-    return;
-  case Opcode::I32TruncF64S:
-    flushTagsForTrap();
-    compileUnop(Op, V::F64, V::I32, MOp::TruncF64I32S);
-    return;
-  case Opcode::I32TruncF64U:
-    flushTagsForTrap();
-    compileUnop(Op, V::F64, V::I32, MOp::TruncF64I32U);
-    return;
-  case Opcode::I64TruncF32S:
-    flushTagsForTrap();
-    compileUnop(Op, V::F32, V::I64, MOp::TruncF32I64S);
-    return;
-  case Opcode::I64TruncF32U:
-    flushTagsForTrap();
-    compileUnop(Op, V::F32, V::I64, MOp::TruncF32I64U);
-    return;
-  case Opcode::I64TruncF64S:
-    flushTagsForTrap();
-    compileUnop(Op, V::F64, V::I64, MOp::TruncF64I64S);
-    return;
-  case Opcode::I64TruncF64U:
-    flushTagsForTrap();
-    compileUnop(Op, V::F64, V::I64, MOp::TruncF64I64U);
-    return;
-  case Opcode::I32TruncSatF32S:
-    compileUnop(Op, V::F32, V::I32, MOp::TruncSatF32I32S);
-    return;
-  case Opcode::I32TruncSatF32U:
-    compileUnop(Op, V::F32, V::I32, MOp::TruncSatF32I32U);
-    return;
-  case Opcode::I32TruncSatF64S:
-    compileUnop(Op, V::F64, V::I32, MOp::TruncSatF64I32S);
-    return;
-  case Opcode::I32TruncSatF64U:
-    compileUnop(Op, V::F64, V::I32, MOp::TruncSatF64I32U);
-    return;
-  case Opcode::I64TruncSatF32S:
-    compileUnop(Op, V::F32, V::I64, MOp::TruncSatF32I64S);
-    return;
-  case Opcode::I64TruncSatF32U:
-    compileUnop(Op, V::F32, V::I64, MOp::TruncSatF32I64U);
-    return;
-  case Opcode::I64TruncSatF64S:
-    compileUnop(Op, V::F64, V::I64, MOp::TruncSatF64I64S);
-    return;
-  case Opcode::I64TruncSatF64U:
-    compileUnop(Op, V::F64, V::I64, MOp::TruncSatF64I64U);
-    return;
-  case Opcode::F32ConvertI32S:
-    compileUnop(Op, V::I32, V::F32, MOp::ConvI32SF32);
-    return;
-  case Opcode::F32ConvertI32U:
-    compileUnop(Op, V::I32, V::F32, MOp::ConvI32UF32);
-    return;
-  case Opcode::F32ConvertI64S:
-    compileUnop(Op, V::I64, V::F32, MOp::ConvI64SF32);
-    return;
-  case Opcode::F32ConvertI64U:
-    compileUnop(Op, V::I64, V::F32, MOp::ConvI64UF32);
-    return;
-  case Opcode::F64ConvertI32S:
-    compileUnop(Op, V::I32, V::F64, MOp::ConvI32SF64);
-    return;
-  case Opcode::F64ConvertI32U:
-    compileUnop(Op, V::I32, V::F64, MOp::ConvI32UF64);
-    return;
-  case Opcode::F64ConvertI64S:
-    compileUnop(Op, V::I64, V::F64, MOp::ConvI64SF64);
-    return;
-  case Opcode::F64ConvertI64U:
-    compileUnop(Op, V::I64, V::F64, MOp::ConvI64UF64);
-    return;
-  case Opcode::F32DemoteF64:
-    compileUnop(Op, V::F64, V::F32, MOp::DemoteF64);
-    return;
-  case Opcode::F64PromoteF32:
-    compileUnop(Op, V::F32, V::F64, MOp::PromoteF32);
-    return;
-  case Opcode::I32ReinterpretF32:
-    compileUnop(Op, V::F32, V::I32, MOp::RintFG32);
-    return;
-  case Opcode::I64ReinterpretF64:
-    compileUnop(Op, V::F64, V::I64, MOp::RintFG64);
-    return;
-  case Opcode::F32ReinterpretI32:
-    compileUnop(Op, V::I32, V::F32, MOp::RintGF32);
-    return;
-  case Opcode::F64ReinterpretI64:
-    compileUnop(Op, V::I64, V::F64, MOp::RintGF64);
-    return;
-
-  // --- memory ---
-  case Opcode::I32Load:
-    compileLoad(MOp::LdM32, V::I32);
-    return;
-  case Opcode::I64Load:
-    compileLoad(MOp::LdM64, V::I64);
-    return;
-  case Opcode::F32Load:
-    compileLoad(MOp::LdMF32, V::F32);
-    return;
-  case Opcode::F64Load:
-    compileLoad(MOp::LdMF64, V::F64);
-    return;
-  case Opcode::I32Load8S:
-    compileLoad(MOp::LdM8S32, V::I32);
-    return;
-  case Opcode::I32Load8U:
-    compileLoad(MOp::LdM8U32, V::I32);
-    return;
-  case Opcode::I32Load16S:
-    compileLoad(MOp::LdM16S32, V::I32);
-    return;
-  case Opcode::I32Load16U:
-    compileLoad(MOp::LdM16U32, V::I32);
-    return;
-  case Opcode::I64Load8S:
-    compileLoad(MOp::LdM8S64, V::I64);
-    return;
-  case Opcode::I64Load8U:
-    compileLoad(MOp::LdM8U64, V::I64);
-    return;
-  case Opcode::I64Load16S:
-    compileLoad(MOp::LdM16S64, V::I64);
-    return;
-  case Opcode::I64Load16U:
-    compileLoad(MOp::LdM16U64, V::I64);
-    return;
-  case Opcode::I64Load32S:
-    compileLoad(MOp::LdM32S64, V::I64);
-    return;
-  case Opcode::I64Load32U:
-    compileLoad(MOp::LdM32U64, V::I64);
-    return;
-  case Opcode::I32Store:
-    compileStore(MOp::StM32);
-    return;
-  case Opcode::I64Store:
-    compileStore(MOp::StM64);
-    return;
-  case Opcode::F32Store:
-    compileStore(MOp::StMF32);
-    return;
-  case Opcode::F64Store:
-    compileStore(MOp::StMF64);
-    return;
-  case Opcode::I32Store8:
-    compileStore(MOp::StM8);
-    return;
-  case Opcode::I32Store16:
-    compileStore(MOp::StM16);
-    return;
-  case Opcode::I64Store8:
-    compileStore(MOp::StM8);
-    return;
-  case Opcode::I64Store16:
-    compileStore(MOp::StM16);
-    return;
-  case Opcode::I64Store32:
-    compileStore(MOp::StM32);
-    return;
-
-  default:
-    assert(false && "unhandled opcode in single-pass compiler");
-    A.emit(MOp::TrapOp, 0, 0, 0, 0, int64_t(TrapReason::Unreachable));
-    Live = false;
-    return;
+  // Comparison, arithmetic, conversion and memory families: the lowering
+  // table names the machine ops, the opcode's signature picks the shape.
+  const OpInfo &Info = opInfo(Op);
+  const Lowering &L = lowering(Op);
+  ValType OpTy = Info.Pop[0];
+  if (Info.Imm == ImmKind::MemArg) {
+    if (Info.NPush)
+      compileLoad(L.Reg, Info.Push);
+    else
+      compileStore(L.Reg);
+  } else if (Info.NPop == 1) {
+    if (Info.CanTrap) // Trapping float-to-int truncations.
+      flushTagsForTrap();
+    compileUnop(Op, OpTy, Info.Push, L.Reg);
+  } else if (Info.CanTrap) {
+    compileDivRem(Op, OpTy == ValType::I64, L.Reg);
+  } else if (L.isCompare() && !isFp(OpTy)) {
+    compileCmp(OpTy == ValType::I64, L);
+  } else { // Float compares too: they have no folding or immediate form.
+    compileBinop(Op, OpTy, Info.Push, L);
   }
 }
 

@@ -1,4 +1,4 @@
-//===- tests/codegen_golden.cpp - per-compiler code hashes -------*- C++ -*-===//
+//===- tests/codegen_golden.cpp - per-compiler code hashes ------*- C++ -*-===//
 //
 // Part of the wisp project, under the Apache License v2.0.
 //
