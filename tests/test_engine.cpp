@@ -384,6 +384,20 @@ static void expectAllPipelines(const std::vector<uint8_t> &Bytes,
   }
 }
 
+// Regression: the optimizer's per-block constant CSE keyed a constant by
+// Bits * 4, which drops the top two bits, so 1.5 and -1.5 (which differ
+// only in the sign bit) shared one vreg and 1.5 - (-1.5) compiled to 0.
+TEST(PipelineConstants, SignBitKeepsConstantsApart) {
+  ModuleBuilder MB;
+  FuncBuilder &F = MB.addFunc(MB.addType({}, {ValType::I32}));
+  F.f64Const(1.5);
+  F.f64Const(-1.5);
+  F.op(Opcode::F64Sub);
+  F.op(Opcode::I32TruncF64S);
+  MB.exportFunc("f", MB.funcIndex(F));
+  expectAllPipelines(MB.build(), "f", {}, 3);
+}
+
 // Regression: a local.set must not clobber stack entries pushed by an
 // earlier local.get of the same local. gcd's loop body reads b, computes
 // a % b, then overwrites both locals while the old b is still on the
